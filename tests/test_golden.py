@@ -1,0 +1,66 @@
+"""Byte-identity guard: SHA-256 of the trace CSV and summary of pinned runs.
+
+Any change to what a run computes (the protocol RNG stream and its draw
+order, the order of a node's float operations, a numpy scalar leaking into
+a formatted field) changes one of these digests. The small config runs to
+network death through no-CH fallback rounds and TEEN forwarding; the
+N = 400 cases exercise many CHs per round. The SEP case has p_adv > 1,
+where advanced nodes are elected with certainty every round.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from wsnsim.engine import run_simulation, summary_dict, write_trace_csv
+from wsnsim.network import NetworkConfig
+from wsnsim.protocols import Teen, make_protocol
+
+CONFIGS = {
+    "small": NetworkConfig(node_count=30, initial_energy=0.02),
+    "large": NetworkConfig(node_count=400, max_rounds=20),
+    "sep-certain": NetworkConfig(node_count=30, initial_energy=0.02, p_opt=0.5,
+                                 adv_fraction=0.2, adv_energy_factor=5.0),
+}
+
+GOLDEN = {
+    ("small", "leach", 1): "60e9919b1f62c21179ac8b0c3c43bb4050ad7400a850255254228c29b51efcaa",
+    ("small", "leach", 2): "bc3df653a995f0a3704c38f1f8e1e703f3438fa59e98f9b759aea769f7dbe70a",
+    ("small", "teen", 1): "336ceeb8b2a065742da0aadaec43a8e2c0cdae6d4035f42e5e5370cc79ea9801",
+    ("small", "teen", 2): "b02f3c3f0f98f11b9d00839ab88360443fc3c0e26feb4e4c4eae779fc23748b3",
+    ("small", "sep", 1): "38dfcd6ff7fcab293a8ee8adbd482d533e475877a2ce82d411c3b0347ef2d585",
+    ("small", "sep", 2): "7582508213e443e1a2df07b3f3319974f444ab51424b13d9b1135fbcf9a29a97",
+    ("small", "deec", 1): "2a4f06d4a58f7debe2a1552aef14f5fe3fa620200e78aea8eb40120b4ca1c5cf",
+    ("small", "deec", 2): "9bb92e858a8e7a79c5d7e626916042339093b500acdc736f04127f69dd99a86c",
+    ("large", "leach", 1): "4fc84238fe4492f8aec4f6d9d0c18f8af4e5c6b0bf0722833404015ab9e4a325",
+    ("large", "teen", 1): "1ea44ab7c153689edf58214e4629eefbe194a3489e4befbd6fea750ab354d18c",
+    ("large", "deec", 1): "c8347630e613708dc6491c7a3779f04d1db2a185f09d29bd2328a668d3351609",
+    ("sep-certain", "sep", 1): "f0826c436f1fa11c2c373386903e4813d48f667e2917fd4d38a6f0fda22b093e",
+}
+
+
+def output_digest(result) -> str:
+    buf = io.StringIO()
+    write_trace_csv(result, buf)
+    json.dump(summary_dict(result), buf, sort_keys=True)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config_name,protocol,seed", sorted(GOLDEN))
+def test_output_digest_is_pinned(config_name, protocol, seed):
+    cfg = CONFIGS[config_name]
+    result = run_simulation(cfg, make_protocol(protocol, cfg), seed)
+    assert output_digest(result) == GOLDEN[config_name, protocol, seed]
+
+
+def test_small_config_reaches_the_rare_paths():
+    cfg = CONFIGS["small"]
+    for name in ("leach", "teen", "sep", "deec"):
+        result = run_simulation(cfg, make_protocol(name, cfg), 1)
+        assert result.last_death_round is not None
+        assert any(m.ch_count == 0 for m in result.trace)
+    forwarded = run_simulation(cfg, Teen(p=cfg.p_opt), 1)
+    direct = run_simulation(cfg, Teen(p=cfg.p_opt, forwarding=False), 1)
+    assert output_digest(forwarded) != output_digest(direct)
