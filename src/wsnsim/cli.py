@@ -9,6 +9,7 @@ same seed see the same field.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import replace
@@ -36,8 +37,10 @@ def parse_seeds(spec: str) -> list[int]:
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(bound) for bound in part.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"reversed seed range {part!r}")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     if not seeds:
@@ -76,8 +79,8 @@ def _show_config(config: NetworkConfig) -> None:
         print(f"{key} = {value}")
 
 
-def _write_run_outputs(out_dir: Path, config: NetworkConfig, name: str,
-                       seed: int, result) -> None:
+def _write_run_outputs(out_dir: Path, name: str, seed: int, result,
+                       topology: str) -> None:
     prefix = f"{name}_seed{seed}"
     with open(out_dir / f"{prefix}_trace.csv", "w", encoding="utf-8") as fh:
         write_trace_csv(result, fh)
@@ -85,26 +88,61 @@ def _write_run_outputs(out_dir: Path, config: NetworkConfig, name: str,
         json.dump(summary_dict(result), fh, indent=2)
         fh.write("\n")
     with open(out_dir / f"{prefix}_topology.csv", "w", encoding="utf-8") as fh:
-        deploy(config, seed).write_topology_csv(fh)
+        fh.write(topology)
 
 
-def cmd_run(args) -> int:
+def _write_comparison_long(results, stream) -> None:
+    stream.write("round,protocol,metric,value,seed\n")
+    for result in results:
+        for m in result.trace:
+            stream.write(f"{m.round},{result.protocol},alive,{m.alive},{result.seed}\n")
+            stream.write(f"{m.round},{result.protocol},dead,{m.dead},{result.seed}\n")
+            stream.write(f"{m.round},{result.protocol},ch_count,{m.ch_count},{result.seed}\n")
+            stream.write(f"{m.round},{result.protocol},packets_to_bs,"
+                         f"{m.packets_to_bs},{result.seed}\n")
+            stream.write(f"{m.round},{result.protocol},packets_to_ch,"
+                         f"{m.packets_to_ch},{result.seed}\n")
+            stream.write(f"{m.round},{result.protocol},total_residual_energy,"
+                         f"{m.total_residual_energy!r},{result.seed}\n")
+
+
+def _sweep(args, compare: bool) -> int:
+    """Run every protocol on every seed and write the per-run and aggregate files.
+
+    `compare` needs two or more protocols and adds `comparison_long.csv`.
+    Each seed is deployed once for its topology file, which every protocol
+    shares; every check runs before the output directory is created.
+    """
     config = _load_effective_config(args)
     if args.show_config:
         _show_config(config)
         return 0
     protocols = parse_protocols(args.protocol)
+    if compare and len(protocols) < 2:
+        print("error: compare needs at least two protocols", file=sys.stderr)
+        return 2
     seeds = parse_seeds(args.seeds)
+    if config.max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1 to run a simulation")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    topologies = {}
+    for seed in seeds:
+        buf = io.StringIO()
+        deploy(config, seed).write_topology_csv(buf)
+        topologies[seed] = buf.getvalue()
     results = []
     for name in protocols:
         for seed in seeds:
             result = run_simulation(config, make_protocol(name, config), seed)
-            _write_run_outputs(out_dir, config, name, seed, result)
+            _write_run_outputs(out_dir, name, seed, result, topologies[seed])
             results.append(result)
-    if len(results) > 1:
+
+    if compare:
+        with open(out_dir / "comparison_long.csv", "w", encoding="utf-8") as fh:
+            _write_comparison_long(results, fh)
+    if compare or len(results) > 1:
         with open(out_dir / "summary_stats.csv", "w", encoding="utf-8") as fh:
             write_summary_stats_csv(aggregate(results), fh)
     if args.require_termination and all(r.censored for r in results):
@@ -113,45 +151,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+def cmd_run(args) -> int:
+    return _sweep(args, compare=False)
+
+
 def cmd_compare(args) -> int:
-    config = _load_effective_config(args)
-    if args.show_config:
-        _show_config(config)
-        return 0
-    protocols = parse_protocols(args.protocol)
-    if len(protocols) < 2:
-        print("error: compare needs at least two protocols", file=sys.stderr)
-        return 2
-    seeds = parse_seeds(args.seeds)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    results = []
-    for name in protocols:
-        for seed in seeds:
-            result = run_simulation(config, make_protocol(name, config), seed)
-            _write_run_outputs(out_dir, config, name, seed, result)
-            results.append(result)
-
-    with open(out_dir / "comparison_long.csv", "w", encoding="utf-8") as fh:
-        fh.write("round,protocol,metric,value,seed\n")
-        for result in results:
-            for m in result.trace:
-                fh.write(f"{m.round},{result.protocol},alive,{m.alive},{result.seed}\n")
-                fh.write(f"{m.round},{result.protocol},dead,{m.dead},{result.seed}\n")
-                fh.write(f"{m.round},{result.protocol},ch_count,{m.ch_count},{result.seed}\n")
-                fh.write(f"{m.round},{result.protocol},packets_to_bs,"
-                         f"{m.packets_to_bs},{result.seed}\n")
-                fh.write(f"{m.round},{result.protocol},packets_to_ch,"
-                         f"{m.packets_to_ch},{result.seed}\n")
-                fh.write(f"{m.round},{result.protocol},total_residual_energy,"
-                         f"{m.total_residual_energy!r},{result.seed}\n")
-    with open(out_dir / "summary_stats.csv", "w", encoding="utf-8") as fh:
-        write_summary_stats_csv(aggregate(results), fh)
-    if args.require_termination and all(r.censored for r in results):
-        print("error: every run was censored at max_rounds", file=sys.stderr)
-        return 1
-    return 0
+    return _sweep(args, compare=True)
 
 
 def cmd_bound(args) -> int:

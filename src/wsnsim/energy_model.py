@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -35,18 +37,20 @@ def crossover_distance(params: RadioParams) -> float:
     return math.sqrt(params.e_fs / params.e_mp)
 
 
-def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
+def tx_energy(params: RadioParams, bits: int, distance):
     """Energy to transmit `bits` over `distance` meters.
 
     Uses the d^2 amplifier below the crossover distance and d^4 at or
-    beyond it; the two branches agree at the crossover.
+    beyond it; the two branches agree at the crossover. `distance` may be
+    an array, priced element by element with the same float operations as
+    a scalar; a scalar distance gives a Python float.
     """
-    d_sq = distance * distance
-    if distance < crossover_distance(params):
-        amp = params.e_fs * d_sq
-    else:
-        amp = params.e_mp * d_sq * d_sq
-    return bits * params.e_elec + bits * amp
+    d = np.asarray(distance, dtype=float)
+    d_sq = d * d
+    amp = np.where(d < crossover_distance(params), params.e_fs * d_sq,
+                   params.e_mp * d_sq * d_sq)
+    energy = bits * params.e_elec + bits * amp
+    return energy if energy.ndim else float(energy)
 
 
 def rx_energy(params: RadioParams, bits: int) -> float:

@@ -1,8 +1,8 @@
 """Round loop: CH election, cluster formation, steady-state data transfer.
 
-Every joule leaving a node goes through `SimulationState._debit`, so the
-per-round energy ledger closes exactly: the drop in total residual energy
-equals the sum of debits applied that round. Control traffic
+Every charge a round applies to a node's residual is also added to the
+round's debit, so the per-round energy ledger closes: the drop in total
+residual energy equals the round's debit. Control traffic
 (advertisement, join, TDMA scheduling) is free; only data packets cost
 energy. Deaths are checked at round end: a node may finish a round
 slightly negative, in which case the overshoot is refunded to the ledger
@@ -12,11 +12,14 @@ and the residual floored at zero.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
-from .energy_model import crossover_distance
+import numpy as np
+
+from .energy_model import aggregation_energy, rx_energy, tx_energy
 from .network import Network, NetworkConfig, deploy
 from .protocols import (
     ProtocolKind,
@@ -70,141 +73,96 @@ class SimulationState:
         self.round = 0
         self.cumulative_packets_to_bs = 0
         self._round_debit = 0.0
-        # radio constants folded with the packet size; the arithmetic below
-        # reproduces tx/rx/aggregation_energy bit for bit
-        radio = self.config.radio
-        bits = self.config.packet_bits
-        self._bits = bits
-        self._e_fs = radio.e_fs
-        self._e_mp = radio.e_mp
-        self._d0 = crossover_distance(radio)
-        self._elec = bits * radio.e_elec           # tx/rx electronics per packet
-        self._agg_unit = bits * radio.e_da         # aggregation per report
-        self._bs_dist = network.dist_to_bs.tolist()
-
-    def _tx_cost(self, distance: float) -> float:
-        d_sq = distance * distance
-        if distance < self._d0:
-            amp = self._e_fs * d_sq
-        else:
-            amp = self._e_mp * d_sq * d_sq
-        return self._elec + self._bits * amp
 
     def run_round(self) -> RoundMetrics:
-        """Advance the simulation by one round and record its metrics."""
+        """Advance the simulation by one round and record its metrics.
+
+        Each phase works on whole arrays, and each node's residual sees the
+        same float operations in the same order as a node-by-node loop: a
+        CH hears its members' reports, pays for aggregation, hears any
+        relayed packets, then sends.
+        """
         cfg = self.config
         net = self.network
-        nodes = net.nodes
-        alive = [n for n in nodes if n.alive]
-        if not alive:
+        residual = net.residual
+        alive_ids = net.alive.nonzero()[0]
+        if not len(alive_ids):
             raise AllNodesDeadError("cannot run a round with no alive nodes")
-        round_debit = 0.0
-        elec = self._elec
-        tx_cost = self._tx_cost
-        bs_dist = self._bs_dist
+        radio, bits = cfg.radio, cfg.packet_bits
+        elec = rx_energy(radio, bits)
 
         outcome = elect_cluster_heads(net, self.protocol, self.round, self.rng)
-        ch_ids = sorted(outcome.ch_ids)
+        ch_ids = outcome.ch_ids
 
         is_teen = isinstance(self.protocol, Teen)
-        transmits: dict[int, bool] = {}
         if is_teen:
             # every alive node senses each round; the gate decides who reports
             uniform = self.rng.uniform
             lo, hi = cfg.teen_sense_min, cfg.teen_sense_max
-            hard, soft = cfg.teen_hard_threshold, cfg.teen_soft_threshold
-            for node in alive:
-                transmits[node.id] = teen_should_transmit(node, uniform(lo, hi),
-                                                          hard, soft)
+            sensed = np.array([uniform(lo, hi) for _ in range(len(alive_ids))])
+            reporting = np.zeros(len(residual), dtype=bool)
+            reporting[alive_ids] = teen_should_transmit(
+                net, alive_ids, sensed, cfg.teen_hard_threshold, cfg.teen_soft_threshold)
+        else:
+            reporting = net.alive
 
-        packets_to_bs = 0
-        packets_to_ch = 0
-
-        if ch_ids:
-            assignment = form_clusters(net, ch_ids)
-            member_ids = sorted(assignment)
-            member_dists = net.dist_matrix[
-                member_ids, [assignment[m] for m in member_ids]].tolist()
-
-            # members report to their CH
-            reports = dict.fromkeys(ch_ids, 0)
-            for member_id, d in zip(member_ids, member_dists):
-                if is_teen and not transmits[member_id]:
-                    continue
-                member = nodes[member_id]
-                member.residual_energy -= (cost := tx_cost(d))
-                round_debit += cost
-                ch = nodes[assignment[member_id]]
-                ch.residual_energy -= elec
-                round_debit += elec
-                reports[ch.id] += 1
-                packets_to_ch += 1
-
-            # CHs fuse what they heard (plus their own report) and send one
-            # compressed packet up: straight to the BS, or for TEEN to the
-            # next CH in the hierarchy, which folds it into its own packet
-            if is_teen:
-                own = {c: (1 if transmits[c] else 0) for c in ch_ids}
+        if len(ch_ids):
+            # members report to their CH; CHs fuse what they heard (plus
+            # their own report) and send one compressed packet up: straight
+            # to the BS, or for TEEN to the next CH in the hierarchy, which
+            # folds it into its own packet
+            clusters = form_clusters(net, ch_ids)
+            reports = reporting[clusters.members]
+            heads = clusters.heads[reports]
+            fused = np.bincount(heads, minlength=len(residual))[ch_ids] + reporting[ch_ids]
+            sending = fused > 0
+            if is_teen and self.protocol.forwarding:
+                next_hop, hop_dist = teen_next_hop(net, ch_ids)
+                if not sending.all():
+                    sending = _add_relays(sending, next_hop, ch_ids, net.dist_to_bs)
             else:
-                own = dict.fromkeys(ch_ids, 1)
-            agg_unit = self._agg_unit
-            for ch_id in ch_ids:
-                cost = agg_unit * (reports[ch_id] + own[ch_id])
-                nodes[ch_id].residual_energy -= cost
-                round_debit += cost
+                next_hop, hop_dist = np.full(len(ch_ids), -1), net.dist_to_bs[ch_ids]
+            hops = next_hop[sending]
+            relayed = hops[hops >= 0]
 
-            forward = is_teen and self.protocol.forwarding
-            # farthest-first order so relayed data is already in hand when a
-            # CH transmits its own packet
-            send_order = sorted(ch_ids, key=lambda c: (-bs_dist[c], c))
-            received_forwards = dict.fromkeys(ch_ids, 0)
-            ch_nodes = [nodes[c] for c in ch_ids]
-            for ch_id in send_order:
-                ch = nodes[ch_id]
-                if is_teen and reports[ch_id] + own[ch_id] + received_forwards[ch_id] == 0:
-                    continue
-                next_id = teen_next_hop(ch, ch_nodes, net) if forward else None
-                if next_id is None:
-                    cost = tx_cost(bs_dist[ch_id])
-                    ch.residual_energy -= cost
-                    round_debit += cost
-                    packets_to_bs += 1
-                else:
-                    cost = tx_cost(net.node_distance(ch_id, next_id))
-                    ch.residual_energy -= cost
-                    round_debit += cost
-                    nodes[next_id].residual_energy -= elec
-                    round_debit += elec
-                    received_forwards[next_id] += 1
+            # a CH hears its members' reports, pays for aggregation, hears
+            # the packets it relays, then sends
+            np.subtract.at(residual, heads, elec)
+            aggregation = aggregation_energy(radio, bits, fused)
+            residual[ch_ids] -= aggregation
+            np.subtract.at(residual, relayed, elec)
+            senders = np.concatenate((clusters.members[reports], ch_ids[sending]))
+            distances = np.concatenate((clusters.distances[reports], hop_dist[sending]))
+            packets_to_ch = len(heads)
+            packets_to_bs = len(hops) - len(relayed)
+            debits = [elec * (packets_to_ch + len(relayed)), math.fsum(aggregation.tolist())]
         else:
             # no CH elected this round: everyone with data reports straight
             # to the base station
-            for node in alive:
-                if is_teen and not transmits[node.id]:
-                    continue
-                cost = tx_cost(bs_dist[node.id])
-                node.residual_energy -= cost
-                round_debit += cost
-                packets_to_bs += 1
+            senders = alive_ids[reporting[alive_ids]]
+            distances = net.dist_to_bs[senders]
+            packets_to_ch = 0
+            packets_to_bs = len(senders)
+            debits = []
+        cost = tx_energy(radio, bits, distances)
+        residual[senders] -= cost
+        debits += cost.tolist()
 
         # deaths are assessed once the round completes; overshoot from a
         # node's final transmissions is refunded so the ledger stays exact
-        alive_count = 0
-        for node in alive:
-            if node.residual_energy <= 0.0:
-                round_debit += node.residual_energy
-                node.residual_energy = 0.0
-                node.alive = False
-                node.eligible_for_ch = False
-            else:
-                alive_count += 1
+        dying = alive_ids[residual[alive_ids] <= 0.0]
+        debits += residual[dying].tolist()
+        residual[dying] = 0.0
+        net.alive[dying] = False
+        net.eligible[dying] = False
+        alive_count = len(alive_ids) - len(dying)
 
-        self._round_debit = round_debit
+        self._round_debit = math.fsum(debits)
         self.cumulative_packets_to_bs += packets_to_bs
         metrics = RoundMetrics(
             round=self.round,
             alive=alive_count,
-            dead=len(nodes) - alive_count,
+            dead=len(residual) - alive_count,
             ch_count=len(ch_ids),
             packets_to_bs=packets_to_bs,
             packets_to_ch=packets_to_ch,
@@ -216,6 +174,22 @@ class SimulationState:
     @property
     def last_round_debit(self) -> float:
         return self._round_debit
+
+
+def _add_relays(sending: np.ndarray, next_hop: np.ndarray, ch_ids: np.ndarray,
+                dist_to_bs: np.ndarray) -> np.ndarray:
+    """Mark every CH that relays a packet as sending, even with no data of its own.
+
+    CHs are visited farthest from the BS first, so a relay is marked
+    before its own turn comes.
+    """
+    marked = sending.tolist()
+    hops = next_hop.tolist()
+    slot = np.searchsorted(ch_ids, next_hop).tolist()
+    for k in np.argsort(-dist_to_bs[ch_ids], kind="stable").tolist():
+        if marked[k] and hops[k] >= 0:
+            marked[slot[k]] = True
+    return np.array(marked, dtype=bool)
 
 
 def run_simulation(config: NetworkConfig, protocol: ProtocolKind,

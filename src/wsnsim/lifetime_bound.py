@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Optional
 
 from .energy_model import crossover_distance, tx_energy
 from .network import Network
@@ -339,13 +339,7 @@ def bound_for_simulated_network(network: Network, k_max: int = MAX_ROUNDS,
     bits = config.packet_bits
     e_near = tx_energy(radio, bits, 0.0)
     e_far = tx_energy(radio, bits, d0)
-    coverage = tuple(
-        (
-            (network.bs_distance(node.id) <= d0,),
-            (network.bs_distance(node.id) <= max_range,),
-        )
-        for node in network.nodes
-    )
+    coverage = tuple(((d <= d0,), (d <= max_range,)) for d in network.dist_to_bs.tolist())
     return BoundInstance(
         n_sensors=config.node_count,
         n_chs=1,
@@ -406,6 +400,3 @@ def schedule_to_text(schedule: Schedule) -> str:
             lines.append(" ".join("1" if v else "0" for v in row))
     return "\n".join(lines) + "\n"
 
-
-def write_schedule(schedule: Schedule, stream: TextIO) -> None:
-    stream.write(schedule_to_text(schedule))

@@ -1,16 +1,18 @@
 """Node population, field deployment and geometry.
 
-A deployed `Network` is a snapshot: node positions never change, so all
-pairwise distances and distances to the base station are precomputed once.
-Per-run mutable state (residual energy, liveness, CH eligibility) lives on
-the `Node` objects.
+Node positions never change, so each node's distance to the base station
+is computed once at deployment. Node-to-node distances are computed on
+demand, one block per query (`Network.distances`), so memory stays O(N)
+plus the block. Per-run mutable state (residual energy, liveness, CH
+eligibility, TEEN's last reported value) lives in numpy arrays on the
+`Network`, indexed by node id; `Node` is the immutable deployment record.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, TextIO
 
 import numpy as np
@@ -58,6 +60,11 @@ class NetworkConfig:
     max_rounds: int = 10000
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        if not all(math.isfinite(c) for c in self.bs_position):
+            raise ValueError(f"bs_position must be finite, got {self.bs_position!r}")
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if self.field_width <= 0 or self.field_height <= 0:
@@ -82,19 +89,14 @@ class NetworkConfig:
             raise ValueError("max_rounds must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
-    """One sensor node and its mutable per-run state."""
+    """One sensor node as deployed; its per-run state lives on the `Network`."""
 
     id: int
     position: tuple[float, float]
     node_class: str                      # NORMAL or ADVANCED
     initial_energy: float
-    residual_energy: float
-    alive: bool = True
-    eligible_for_ch: bool = True
-    rounds_since_ch: int = 0
-    teen_last_sent_value: Optional[float] = None
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -103,29 +105,42 @@ def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 class Network:
-    """Deployed node population with precomputed geometry."""
+    """Deployed node population plus one run's node state, as arrays by id.
+
+    `residual`, `alive`, `eligible` (for CH duty) and `teen_last_sent`
+    (NaN until a node's first TEEN report) change as a run proceeds;
+    `x`, `y`, `dist_to_bs` and `advanced` are fixed.
+    """
 
     def __init__(self, config: NetworkConfig, nodes: list[Node]):
         self.config = config
         self.nodes = nodes
         self.bs_position = config.bs_position
-        pos = np.array([n.position for n in nodes], dtype=float)
-        diff = pos[:, None, :] - pos[None, :, :]
-        self.dist_matrix = np.sqrt((diff ** 2).sum(axis=2))
+        pos = np.array([n.position for n in nodes], dtype=float).reshape(-1, 2)
+        self.x, self.y = pos.T.copy()
         bs = np.array(config.bs_position, dtype=float)
         self.dist_to_bs = np.sqrt(((pos - bs) ** 2).sum(axis=1))
+        self.advanced = np.array([n.node_class == ADVANCED for n in nodes], dtype=bool)
+        self.residual = np.array([n.initial_energy for n in nodes], dtype=float)
+        self.alive = np.ones(len(nodes), dtype=bool)
+        self.eligible = np.ones(len(nodes), dtype=bool)
+        self.teen_last_sent = np.full(len(nodes), np.nan)
 
-    def alive_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.alive]
+    def distances(self, rows, cols) -> np.ndarray:
+        """Distances from each node in `rows` to each node in `cols`, computed in place.
 
-    def node_distance(self, a: int, b: int) -> float:
-        return float(self.dist_matrix[a, b])
-
-    def bs_distance(self, node_id: int) -> float:
-        return float(self.dist_to_bs[node_id])
+        Entry [i, j] is sqrt(dx^2 + dy^2) with dx = x[rows[i]] - x[cols[j]],
+        the same float operations for every query.
+        """
+        dx = np.subtract.outer(self.x[rows], self.x[cols])
+        dy = np.subtract.outer(self.y[rows], self.y[cols])
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
 
     def total_residual_energy(self) -> float:
-        return math.fsum(n.residual_energy for n in self.nodes)
+        return math.fsum(self.residual.tolist())
 
     def write_topology_csv(self, stream: TextIO) -> None:
         """Export the deployment as CSV: id, x, y, class, initial_energy."""
@@ -161,21 +176,29 @@ def deploy(config: NetworkConfig, seed: int) -> Network:
         else:
             energy = config.initial_energy
             cls = NORMAL
-        nodes.append(Node(id=i, position=pos, node_class=cls,
-                          initial_energy=energy, residual_energy=energy))
+        nodes.append(Node(id=i, position=pos, node_class=cls, initial_energy=energy))
     return Network(config, nodes)
 
 
 def _parse_scalar(key: str, raw: str):
-    """Parse one config value; energy fields accept a unit suffix (nJ, pJ...)."""
+    """Parse one config value; only energy keys accept a unit suffix (nJ, pJ...)."""
     text = raw.strip()
-    if key == "bs_position":
-        parts = [p for p in text.replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ValueError(f"bs_position needs two coordinates, got {raw!r}")
-        return (float(parts[0]), float(parts[1]))
-    if key in ("node_count", "packet_bits", "max_rounds"):
-        return int(text)
+    if key in _ENERGY_KEYS:
+        return _parse_energy(text)
+    try:
+        if key == "bs_position":
+            x, y = text.replace(",", " ").split()
+            return (float(x), float(y))
+        if key in ("node_count", "packet_bits", "max_rounds"):
+            return int(text)
+        return float(text)
+    except ValueError:
+        expected = "two numbers" if key == "bs_position" else "a number"
+        raise ValueError(f"{key} needs {expected} without a unit (unit suffixes are "
+                         f"for energy keys only), got {raw!r}") from None
+
+
+def _parse_energy(text: str) -> float:
     lowered = text.lower().replace(" ", "")
     for suffix, exponent in _ENERGY_UNITS:
         head = lowered[: -len(suffix)]
@@ -199,6 +222,7 @@ _CONFIG_KEYS = {
     "teen_sense_min", "teen_sense_max", "max_rounds",
 }
 _RADIO_KEYS = {"e_elec", "e_fs", "e_mp", "e_da"}
+_ENERGY_KEYS = _RADIO_KEYS | {"initial_energy"}
 
 
 def config_from_items(items: dict[str, str],

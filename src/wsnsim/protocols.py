@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .network import ADVANCED, NORMAL, Network, Node
+from .network import ADVANCED, Network
 
 
 @dataclass(frozen=True)
@@ -80,33 +80,44 @@ def make_protocol(name: str, config) -> ProtocolKind:
 
 @dataclass
 class ElectionOutcome:
-    ch_ids: list[int]
-    per_node_threshold: dict[int, float]
-    draws: dict[int, float]
+    """One round's election, as arrays in node-id order.
+
+    `candidates` are the alive nodes eligible this round; each drew once,
+    in id order, against its threshold. `ch_ids` are those whose draw fell
+    below their threshold.
+    """
+
+    ch_ids: np.ndarray
+    candidates: np.ndarray
+    thresholds: np.ndarray
+    draws: np.ndarray
 
 
-def _check_probability(p: float) -> None:
-    if not (0 < p <= 1):
-        raise ValueError(f"probability must lie in (0, 1], got {p!r}")
+def _check_probability(p) -> None:
+    p = np.asarray(p)
+    if not np.logical_and(p > 0, p <= 1).all():
+        bad = p[~np.logical_and(p > 0, p <= 1)]
+        raise ValueError(f"probability must lie in (0, 1], got {float(bad.flat[0])!r}")
 
 
-def epoch_length(p: float) -> int:
-    """Rounds until a former CH becomes eligible again: round(1/p), at least 1."""
+def epoch_length(p):
+    """Rounds until a former CH becomes eligible again: round(1/p), at least 1.
+
+    Rounds half to even, as Python's round does; array-capable, as a float.
+    """
     _check_probability(p)
-    return max(1, round(1.0 / p))
+    return np.maximum(1.0, np.rint(1.0 / np.asarray(p, dtype=float)))
 
 
-def leach_threshold(p: float, round_index: int, eligible: bool) -> float:
+def leach_threshold(p, round_index: int, eligible):
     """Election threshold T(n) = p / (1 - p * (r mod round(1/p))), 0 if ineligible.
 
     The threshold ramps up within an epoch so that nodes still waiting get
     elected with certainty by the epoch's final round. Clamped to 1.
+    Array-capable in `p` and `eligible`.
     """
-    _check_probability(p)
-    if not eligible:
-        return 0.0
     r_mod = round_index % epoch_length(p)
-    return min(1.0, p / (1.0 - p * r_mod))
+    return np.minimum(1.0, np.where(eligible, p / (1.0 - p * r_mod), 0.0))
 
 
 def sep_probabilities(p_opt: float, m: float, alpha: float) -> tuple[float, float]:
@@ -127,27 +138,31 @@ def sep_threshold(node_class: str, p_nrm: float, p_adv: float,
     return leach_threshold(p, round_index, eligible)
 
 
-def network_average_energy(nodes: list[Node]) -> float:
-    """Mean residual energy over all deployed nodes; dead nodes count as zero."""
-    if not nodes:
+def network_average_energy(residuals: list[float]) -> float:
+    """Mean residual energy over all deployed nodes; dead nodes count as zero.
+
+    Takes Python floats and adds them left to right with the builtin sum:
+    np.sum's pairwise order would change the average's last bits, and with
+    them DEEC's thresholds and which draws elect.
+    """
+    if not residuals:
         raise ValueError("no nodes")
-    return sum(n.residual_energy for n in nodes) / len(nodes)
+    return sum(residuals) / len(residuals)
 
 
-def deec_probability(node: Node, p_opt: float, m: float, alpha: float,
-                     avg_energy: float) -> float:
+def deec_probability(residual, advanced, p_opt: float, m: float, alpha: float,
+                     avg_energy: float):
     """Residual-energy-weighted CH probability, clamped to (0, 1].
 
     Normal nodes get p_opt * E_i / ((1 + alpha*m) * E_avg); advanced nodes
     carry an extra (1 + alpha) factor. Values can exceed 1 late in life
     when a survivor holds far more energy than the network average.
+    Array-capable in `residual` and `advanced`.
     """
     if avg_energy <= 0:
         raise ValueError("network average energy must be positive")
-    base = p_opt * node.residual_energy / ((1.0 + alpha * m) * avg_energy)
-    if node.node_class == ADVANCED:
-        base *= 1.0 + alpha
-    return min(1.0, base)
+    base = p_opt * np.asarray(residual, dtype=float) / ((1.0 + alpha * m) * avg_energy)
+    return np.minimum(1.0, np.where(advanced, base * (1.0 + alpha), base))
 
 
 def deec_reference_weight(alpha_values: list[float], p_opt: float) -> list[float]:
@@ -163,16 +178,19 @@ def deec_reference_weight(alpha_values: list[float], p_opt: float) -> list[float
     return [p_opt * n * (1.0 + a) / (n + total) for a in alpha_values]
 
 
-def _node_probability(node: Node, protocol: ProtocolKind,
-                      avg_energy: Optional[float]) -> float:
-    """The per-node election probability p used for threshold and epoch."""
+def _election_probability(network: Network, protocol: ProtocolKind,
+                          ids: np.ndarray) -> np.ndarray:
+    """Each listed node's election probability p, used for threshold and epoch."""
     if isinstance(protocol, (Leach, Teen)):
-        return protocol.p
+        return np.full(len(ids), protocol.p)
     if isinstance(protocol, Sep):
-        return protocol.p_adv if node.node_class == ADVANCED else protocol.p_nrm
+        # a p above 1 means a one-round epoch and a threshold of 1, as p = 1 does
+        return np.where(network.advanced[ids], min(1.0, protocol.p_adv),
+                        min(1.0, protocol.p_nrm))
     if isinstance(protocol, Deec):
-        return deec_probability(node, protocol.p_opt, protocol.m, protocol.alpha,
-                                avg_energy)
+        avg_energy = network_average_energy(network.residual.tolist())
+        return deec_probability(network.residual[ids], network.advanced[ids],
+                                protocol.p_opt, protocol.m, protocol.alpha, avg_energy)
     raise TypeError(f"unknown protocol kind: {protocol!r}")
 
 
@@ -184,94 +202,82 @@ def elect_cluster_heads(network: Network, protocol: ProtocolKind,
     the set runs empty); elected nodes leave the set for the rest of their
     epoch. An empty CH set is a legal outcome handled by the engine.
     """
-    alive = [n for n in network.nodes if n.alive]
-    avg_energy = None
-    if isinstance(protocol, Deec):
-        avg_energy = network_average_energy(network.nodes)
-
-    # epoch-boundary refill, per node (epochs are per-class for SEP and
-    # per-node for DEEC, so the wrap point differs between nodes)
-    probs = [_node_probability(node, protocol, avg_energy) for node in alive]
-    any_eligible = False
-    for node, p in zip(alive, probs):
-        if not node.eligible_for_ch and round_index % max(1, round(1.0 / p)) == 0:
-            node.eligible_for_ch = True
-        any_eligible = any_eligible or node.eligible_for_ch
-    if alive and not any_eligible:
-        for node in alive:
-            node.eligible_for_ch = True
-
-    ch_ids: list[int] = []
-    thresholds: dict[int, float] = {}
-    draws: dict[int, float] = {}
-    for node, p in zip(alive, probs):
-        if not node.eligible_for_ch:
-            thresholds[node.id] = 0.0
-            node.rounds_since_ch += 1
-            continue
-        r_mod = round_index % max(1, round(1.0 / p))
-        threshold = min(1.0, p / (1.0 - p * r_mod))
-        thresholds[node.id] = threshold
-        u = rng.random()
-        draws[node.id] = u
-        if u < threshold:
-            ch_ids.append(node.id)
-            node.eligible_for_ch = False
-            node.rounds_since_ch = 0
-        else:
-            node.rounds_since_ch += 1
-    return ElectionOutcome(ch_ids=ch_ids, per_node_threshold=thresholds, draws=draws)
+    ids = network.alive.nonzero()[0]
+    p = _election_probability(network, protocol, ids)
+    eligible = network.eligible
+    # epochs are per class for SEP and per node for DEEC, so the wrap
+    # point differs between nodes
+    eligible[ids[round_index % epoch_length(p) == 0]] = True
+    if not eligible[ids].any():
+        eligible[ids] = True
+    is_candidate = eligible[ids]
+    candidates = ids[is_candidate]
+    thresholds = leach_threshold(p[is_candidate], round_index, True)
+    draws = np.array([rng.random() for _ in range(len(candidates))])
+    ch_ids = candidates[draws < thresholds]
+    eligible[ch_ids] = False
+    return ElectionOutcome(ch_ids=ch_ids, candidates=candidates,
+                           thresholds=thresholds, draws=draws)
 
 
-def form_clusters(network: Network, ch_ids: list[int]) -> dict[int, int]:
-    """Assign every alive non-CH node to its nearest CH (ties: lowest CH id)."""
-    if not ch_ids:
+@dataclass
+class Clusters:
+    """Alive non-CH nodes in id order, each with its nearest CH and distance to it."""
+
+    members: np.ndarray
+    heads: np.ndarray
+    distances: np.ndarray
+
+
+def form_clusters(network: Network, ch_ids) -> Clusters:
+    """Assign every alive non-CH node to its nearest CH (ties: lowest CH id).
+
+    The members x CHs distance block is computed for this round only.
+    """
+    if len(ch_ids) == 0:
         raise ValueError("no cluster heads to form clusters around")
-    chs = sorted(ch_ids)
-    ch_set = set(chs)
-    member_ids = [n.id for n in network.nodes if n.alive and n.id not in ch_set]
-    if not member_ids:
-        return {}
+    chs = np.sort(np.asarray(ch_ids))
+    is_member = network.alive.copy()
+    is_member[chs] = False
+    members = is_member.nonzero()[0]
+    block = network.distances(members, chs)
     # argmin returns the first minimum, so sorted CH columns break ties
     # toward the lowest CH id
-    sub = network.dist_matrix[np.ix_(member_ids, chs)]
-    nearest = sub.argmin(axis=1)
-    return {m: chs[int(k)] for m, k in zip(member_ids, nearest)}
+    nearest = block.argmin(axis=1)
+    return Clusters(members=members, heads=chs[nearest],
+                    distances=block[np.arange(len(members)), nearest])
 
 
-def teen_should_transmit(node: Node, sensed_value: float,
-                         hard_threshold: float, soft_threshold: float) -> bool:
-    """Reactive transmission gate; updates the node's last-sent value on send.
+def teen_should_transmit(network: Network, ids: np.ndarray, sensed: np.ndarray,
+                         hard_threshold: float, soft_threshold: float) -> np.ndarray:
+    """Reactive transmission gate over `ids`; records the value each sender reports.
 
     A node reports only when the sensed attribute crosses the hard
     threshold, and then only if it moved by at least the soft threshold
-    since the last report (first crossings always go out).
+    since the last report (first crossings, where the last value is NaN,
+    always go out).
     """
-    if sensed_value < hard_threshold:
-        return False
-    last = node.teen_last_sent_value
-    if last is not None and abs(sensed_value - last) < soft_threshold:
-        return False
-    node.teen_last_sent_value = sensed_value
-    return True
+    last = network.teen_last_sent[ids]
+    send = (sensed >= hard_threshold) & ~(np.abs(sensed - last) < soft_threshold)
+    network.teen_last_sent[ids[send]] = sensed[send]
+    return send
 
 
-def teen_next_hop(ch: Node, all_chs: list[Node], network: Network) -> Optional[int]:
-    """Next hop for a CH packet: nearest CH strictly closer to the BS, else BS.
+def teen_next_hop(network: Network, ch_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Next hop of each CH packet: the nearest CH strictly closer to the BS, else the BS.
 
-    Returns the relay CH's id, or None when this CH tops its hierarchy and
-    sends straight to the base station. Hop-by-hop distance to the BS
-    strictly decreases, so forwarding can never cycle.
+    `ch_ids` must be in ascending order. Returns, per CH, the relay CH's
+    id (-1 when this CH tops its hierarchy and sends straight to the base
+    station) and the distance to that hop. Ties go to the lowest id.
+    Hop-by-hop distance to the BS strictly decreases, so forwarding can
+    never cycle.
     """
-    my_bs = network.bs_distance(ch.id)
-    best_id: Optional[int] = None
-    best_dist = float("inf")
-    for other in all_chs:
-        if other.id == ch.id:
-            continue
-        if network.bs_distance(other.id) < my_bs:
-            d = network.node_distance(ch.id, other.id)
-            if d < best_dist or (d == best_dist and (best_id is None or other.id < best_id)):
-                best_dist = d
-                best_id = other.id
-    return best_id
+    ch_ids = np.asarray(ch_ids)
+    block = network.distances(ch_ids, ch_ids)
+    to_bs = network.dist_to_bs[ch_ids]
+    block[~(to_bs[None, :] < to_bs[:, None])] = np.inf
+    nearest = block.argmin(axis=1)
+    hop_dist = block[np.arange(len(ch_ids)), nearest]
+    relays = np.isfinite(hop_dist)
+    return (np.where(relays, ch_ids[nearest], -1),
+            np.where(relays, hop_dist, to_bs))

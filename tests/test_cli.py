@@ -184,3 +184,27 @@ def test_bound_check_sim_dominance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "bound dominance holds" in out
+
+
+def test_parse_seeds_rejects_reversed_range():
+    for spec in ("5..1", "1..3,5..1"):
+        with pytest.raises(ValueError, match="reversed"):
+            parse_seeds(spec)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_zero_max_rounds_rejected_before_any_file(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run_cli(command, "--protocol", "leach,teen", "--seeds", "1",
+                   "--max-rounds", "0", "--out", str(out))
+    assert code == 2
+    assert "max_rounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_override_rejected_before_any_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("run", "--override", "initial_energy=nan", "--out", str(out))
+    assert code == 2
+    assert "initial_energy" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from wsnsim.energy_model import aggregation_energy, rx_energy, tx_energy
@@ -18,8 +19,8 @@ from wsnsim.protocols import Leach, Teen, make_protocol
 def make_network(positions, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
     cfg = NetworkConfig(node_count=len(positions), bs_position=bs,
                         initial_energy=energy, **cfg_kwargs)
-    nodes = [Node(id=i, position=p, node_class=NORMAL, initial_energy=energy,
-                  residual_energy=energy) for i, p in enumerate(positions)]
+    nodes = [Node(id=i, position=p, node_class=NORMAL, initial_energy=energy)
+             for i, p in enumerate(positions)]
     return Network(cfg, nodes)
 
 
@@ -47,7 +48,7 @@ def test_single_node_ch_round_debit():
     expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 0.0)
     assert expected == pytest.approx(2.2e-4, rel=1e-12)
     assert state.last_round_debit == pytest.approx(expected, rel=1e-12)
-    assert net.nodes[0].residual_energy == pytest.approx(0.5 - expected, rel=1e-12)
+    assert net.residual[0] == pytest.approx(0.5 - expected, rel=1e-12)
     assert metrics.packets_to_bs == 1
     assert metrics.ch_count == 1
 
@@ -121,8 +122,8 @@ def test_member_and_ch_debits_add_up():
 
 def test_run_round_requires_alive_nodes():
     net = make_network([(10.0, 10.0)])
-    net.nodes[0].alive = False
-    net.nodes[0].residual_energy = 0.0
+    net.alive[0] = False
+    net.residual[0] = 0.0
     state = SimulationState(net, Leach(p=0.5), seed=1)
     with pytest.raises(AllNodesDeadError):
         state.run_round()
@@ -176,15 +177,14 @@ def test_dead_nodes_stay_dead_and_at_zero():
     state = SimulationState(network, Leach(p=0.1), seed=6)
     died_at = {}
     for r in range(400):
-        alive_before = {n.id for n in network.nodes if n.alive}
+        alive_before = set(np.flatnonzero(network.alive).tolist())
         if not alive_before:
             break
         state.run_round()
-        for n in network.nodes:
-            if not n.alive:
-                assert n.residual_energy == 0.0
-                died_at.setdefault(n.id, r)
-                assert n.id not in alive_before or died_at[n.id] == r
+        for node_id in np.flatnonzero(~network.alive).tolist():
+            assert network.residual[node_id] == 0.0
+            died_at.setdefault(node_id, r)
+            assert node_id not in alive_before or died_at[node_id] == r
     assert died_at  # the run actually killed nodes
 
 

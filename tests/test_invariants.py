@@ -1,0 +1,70 @@
+"""Per-round invariants of `SimulationState.run_round`, as hypothesis properties.
+
+Counts are bounded by the alive count at the start of the round: the
+trace's `alive` column is taken after the round's deaths, so it is the
+wrong bound for what happened during the round.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsnsim import engine
+from wsnsim.engine import SimulationState
+from wsnsim.network import NetworkConfig, deploy
+from wsnsim.protocols import PROTOCOL_NAMES, make_protocol
+
+MAX_ROUNDS = 150
+
+configs = st.builds(
+    NetworkConfig,
+    node_count=st.integers(min_value=1, max_value=40),
+    initial_energy=st.floats(min_value=0.002, max_value=0.05),
+    p_opt=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+    adv_fraction=st.floats(min_value=0.0, max_value=1.0),
+    adv_energy_factor=st.floats(min_value=0.0, max_value=3.0),
+    bs_position=st.tuples(st.floats(min_value=-50.0, max_value=150.0),
+                          st.floats(min_value=-50.0, max_value=150.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs, st.sampled_from(PROTOCOL_NAMES), st.integers(min_value=0, max_value=10**6))
+def test_every_round_keeps_the_invariants(cfg, name, seed):
+    net = deploy(cfg, seed)
+    state = SimulationState(net, make_protocol(name, cfg), seed)
+    hops = []
+    next_hop = engine.teen_next_hop
+
+    def recording_next_hop(network, ch_ids):
+        out = next_hop(network, ch_ids)
+        hops.append((np.array(ch_ids), out[0].copy()))
+        return out
+
+    engine.teen_next_hop = recording_next_hop
+    try:
+        total = math.fsum(net.residual.tolist())
+        for _ in range(MAX_ROUNDS):
+            alive_before = net.alive.copy()
+            n_alive = int(alive_before.sum())
+            if not n_alive:
+                break
+            m = state.run_round()
+
+            assert (net.residual >= 0.0).all()
+            assert (net.residual[~net.alive] == 0.0).all()
+            assert not (net.alive & ~alive_before).any()
+            assert m.alive == int(net.alive.sum()) <= n_alive
+            assert m.ch_count <= n_alive
+            assert m.packets_to_ch <= n_alive - m.ch_count
+            after = math.fsum(net.residual.tolist())
+            assert abs((total - after) - state.last_round_debit) <= 1e-9
+            total = after
+    finally:
+        engine.teen_next_hop = next_hop
+
+    for ch_ids, relay in hops:
+        forwarded = relay >= 0
+        assert (net.dist_to_bs[relay[forwarded]] < net.dist_to_bs[ch_ids[forwarded]]).all()

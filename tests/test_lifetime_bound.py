@@ -231,8 +231,8 @@ def test_instance_text_rejects_garbage():
 def co_located_network(n, energy, bs=(50.0, 50.0)):
     cfg = NetworkConfig(node_count=n, bs_position=bs, initial_energy=energy,
                         adv_fraction=0.0, max_rounds=100)
-    nodes = [Node(id=i, position=bs, node_class=NORMAL, initial_energy=energy,
-                  residual_energy=energy) for i in range(n)]
+    nodes = [Node(id=i, position=bs, node_class=NORMAL, initial_energy=energy)
+             for i in range(n)]
     return Network(cfg, nodes)
 
 
@@ -249,8 +249,7 @@ def test_colocated_node_bound_is_budget_quotient():
 
 def test_out_of_range_node_gives_zero_bound():
     cfg = NetworkConfig(node_count=1, bs_position=(0.0, 0.0), adv_fraction=0.0)
-    nodes = [Node(id=0, position=(90.0, 90.0), node_class=NORMAL,
-                  initial_energy=0.5, residual_energy=0.5)]
+    nodes = [Node(id=0, position=(90.0, 90.0), node_class=NORMAL, initial_energy=0.5)]
     net = Network(cfg, nodes)
     instance = bound_for_simulated_network(net, max_range=10.0)
     k_star, _ = solve_exact(instance)

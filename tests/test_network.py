@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,7 @@ def test_deploy_single_normal_node():
     net = deploy(cfg, seed=9)
     (node,) = net.nodes
     assert node.node_class == NORMAL
-    assert node.residual_energy == cfg.initial_energy
+    assert net.residual[0] == cfg.initial_energy
 
 
 def test_deploy_is_deterministic():
@@ -56,7 +57,7 @@ def test_advanced_energy_scaling():
     for n in net.nodes:
         expected = cfg.initial_energy * (3.0 if n.node_class == ADVANCED else 1.0)
         assert n.initial_energy == expected
-        assert n.residual_energy == expected
+        assert net.residual[n.id] == expected
 
 
 def test_distance_triangle():
@@ -91,11 +92,12 @@ def test_total_initial_energy_heterogeneous():
 
 def test_precomputed_geometry_matches_distance():
     net = deploy(NetworkConfig(node_count=12), seed=7)
+    block = net.distances(range(12), range(12))
     for a in range(12):
         for b in range(12):
-            assert net.node_distance(a, b) == pytest.approx(
+            assert block[a, b] == pytest.approx(
                 distance(net.nodes[a].position, net.nodes[b].position), abs=1e-12)
-        assert net.bs_distance(a) == pytest.approx(
+        assert net.dist_to_bs[a] == pytest.approx(
             distance(net.nodes[a].position, net.bs_position), abs=1e-12)
 
 
@@ -145,3 +147,29 @@ def test_config_validation_errors():
         NetworkConfig(teen_hard_threshold=300.0).validate()
     with pytest.raises(ValueError):
         NetworkConfig(initial_energy=-1.0).validate()
+
+
+FLOAT_FIELDS = ("field_width", "field_height", "initial_energy", "p_opt", "adv_fraction",
+                "adv_energy_factor", "teen_hard_threshold", "teen_soft_threshold",
+                "teen_sense_min", "teen_sense_max")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS + ("bs_position",))
+def test_config_rejects_non_finite_values(name, value):
+    bad = (value, 50.0) if name == "bs_position" else value
+    with pytest.raises(ValueError, match=name):
+        replace(NetworkConfig(), **{name: bad}).validate()
+
+
+def test_nan_energy_is_rejected_before_a_run():
+    with pytest.raises(ValueError, match="initial_energy"):
+        config_from_items({"initial_energy": "nan"})
+
+
+@pytest.mark.parametrize("key,raw", [("field_width", "100pJ"), ("p_opt", "0.1J"),
+                                     ("teen_soft_threshold", "2 nJ"),
+                                     ("bs_position", "50J, 50")])
+def test_unit_suffix_only_on_energy_keys(key, raw):
+    with pytest.raises(ValueError, match=key):
+        config_from_items({key: raw})

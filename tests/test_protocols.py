@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,10 +29,13 @@ from wsnsim.protocols import (
 def make_network(positions, classes=None, energy=0.5, bs=(50.0, 50.0)):
     cfg = NetworkConfig(node_count=len(positions), bs_position=bs)
     classes = classes or [NORMAL] * len(positions)
-    nodes = [Node(id=i, position=p, node_class=c, initial_energy=energy,
-                  residual_energy=energy)
+    nodes = [Node(id=i, position=p, node_class=c, initial_energy=energy)
              for i, (p, c) in enumerate(zip(positions, classes))]
     return Network(cfg, nodes)
+
+
+def assignment(clusters):
+    return dict(zip(clusters.members.tolist(), clusters.heads.tolist()))
 
 
 # --- thresholds -----------------------------------------------------------
@@ -95,49 +99,42 @@ def test_sep_threshold_ineligible():
 
 # --- DEEC -----------------------------------------------------------------
 
-def _node(residual, cls=NORMAL):
-    return Node(id=0, position=(0, 0), node_class=cls, initial_energy=1.0,
-                residual_energy=residual)
-
-
 def test_network_average_energy_two_point():
-    nodes = [_node(0.5), _node(1.0)]
-    assert network_average_energy(nodes) == pytest.approx(0.75, rel=1e-12)
+    assert network_average_energy([0.5, 1.0]) == pytest.approx(0.75, rel=1e-12)
 
 
 def test_network_average_energy_all_dead():
-    nodes = [_node(0.0), _node(0.0)]
-    assert network_average_energy(nodes) == 0.0
+    assert network_average_energy([0.0, 0.0]) == 0.0
 
 
 def test_network_average_energy_weighted():
-    nodes = [_node(0.5) for _ in range(90)] + [_node(1.0) for _ in range(10)]
-    assert network_average_energy(nodes) == pytest.approx(0.55, rel=1e-12)
+    residuals = [0.5] * 90 + [1.0] * 10
+    assert network_average_energy(residuals) == pytest.approx(0.55, rel=1e-12)
 
 
 def test_deec_probability_normal_at_average():
-    p = deec_probability(_node(0.55), 0.1, 0.1, 1.0, avg_energy=0.55)
+    p = deec_probability(0.55, False, 0.1, 0.1, 1.0, avg_energy=0.55)
     assert p == pytest.approx(0.1 / 1.1, rel=1e-12)
 
 
 def test_deec_probability_advanced_at_average():
-    p = deec_probability(_node(0.55, ADVANCED), 0.1, 0.1, 1.0, avg_energy=0.55)
+    p = deec_probability(0.55, True, 0.1, 0.1, 1.0, avg_energy=0.55)
     assert p == pytest.approx(0.2 / 1.1, rel=1e-12)
 
 
 def test_deec_probability_vanishes_with_energy():
-    p = deec_probability(_node(1e-12), 0.1, 0.1, 1.0, avg_energy=0.5)
+    p = deec_probability(1e-12, False, 0.1, 0.1, 1.0, avg_energy=0.5)
     assert 0 < p < 1e-10
 
 
 def test_deec_probability_clamps_to_one():
-    p = deec_probability(_node(10.0), 0.5, 0.1, 1.0, avg_energy=0.01)
+    p = deec_probability(10.0, False, 0.5, 0.1, 1.0, avg_energy=0.01)
     assert p == 1.0
 
 
 def test_deec_probability_rejects_degenerate_network():
     with pytest.raises(ValueError):
-        deec_probability(_node(0.5), 0.1, 0.1, 1.0, avg_energy=0.0)
+        deec_probability(0.5, False, 0.1, 0.1, 1.0, avg_energy=0.0)
 
 
 @given(st.floats(min_value=1e-3, max_value=0.5),
@@ -146,8 +143,8 @@ def test_deec_probability_rejects_degenerate_network():
        st.floats(min_value=1e-3, max_value=2.0))
 def test_deec_reduces_to_sep_at_equal_residuals(p_opt, m, alpha, energy):
     p_nrm, p_adv = sep_probabilities(p_opt, m, alpha)
-    got_nrm = deec_probability(_node(energy), p_opt, m, alpha, avg_energy=energy)
-    got_adv = deec_probability(_node(energy, ADVANCED), p_opt, m, alpha, avg_energy=energy)
+    got_nrm = deec_probability(energy, False, p_opt, m, alpha, avg_energy=energy)
+    got_adv = deec_probability(energy, True, p_opt, m, alpha, avg_energy=energy)
     assert got_nrm == pytest.approx(min(1.0, p_nrm), rel=1e-12)
     assert got_adv == pytest.approx(min(1.0, p_adv), rel=1e-12)
 
@@ -185,23 +182,24 @@ def test_elect_all_at_epoch_end():
     net = deploy(NetworkConfig(node_count=10), seed=1)
     outcome = elect_cluster_heads(net, Leach(p=0.1), 9, random.Random(0))
     assert sorted(outcome.ch_ids) == list(range(10))
-    assert all(outcome.per_node_threshold[i] == 1.0 for i in range(10))
+    assert outcome.candidates.tolist() == list(range(10))
+    assert all(outcome.thresholds == 1.0)
 
 
 def test_dead_nodes_never_elected():
     net = deploy(NetworkConfig(node_count=5), seed=1)
-    net.nodes[2].alive = False
-    net.nodes[2].residual_energy = 0.0
+    net.alive[2] = False
+    net.residual[2] = 0.0
     outcome = elect_cluster_heads(net, Leach(p=1.0), 0, random.Random(0))
     assert 2 not in outcome.ch_ids
-    assert 2 not in outcome.per_node_threshold
+    assert 2 not in outcome.candidates
 
 
 def test_elected_draw_below_threshold():
     net = deploy(NetworkConfig(node_count=30), seed=4)
     outcome = elect_cluster_heads(net, Leach(p=0.3), 2, random.Random(7))
-    for ch in outcome.ch_ids:
-        assert outcome.draws[ch] < outcome.per_node_threshold[ch]
+    elected = np.isin(outcome.candidates, outcome.ch_ids)
+    assert all(outcome.draws[elected] < outcome.thresholds[elected])
 
 
 def test_each_node_elected_exactly_once_per_epoch():
@@ -230,8 +228,7 @@ def test_sep_election_uses_class_epochs():
 def test_deec_election_prefers_energetic_nodes():
     positions = [(float(i), 0.0) for i in range(10)]
     net = make_network(positions)
-    for node in net.nodes[:5]:
-        node.residual_energy = 0.05   # nearly drained
+    net.residual[:5] = 0.05   # nearly drained
     protocol = Deec(p_opt=0.1, m=0.0, alpha=0.0)
     rng = random.Random(1)
     counts = [0] * 10
@@ -245,7 +242,7 @@ def test_deec_election_prefers_energetic_nodes():
 
 def test_form_clusters_single_ch():
     net = make_network([(0, 0), (10, 10), (20, 20)])
-    assert form_clusters(net, [1]) == {0: 1, 2: 1}
+    assert assignment(form_clusters(net, [1])) == {0: 1, 2: 1}
 
 
 def test_form_clusters_tie_breaks_to_lowest_id():
@@ -253,14 +250,12 @@ def test_form_clusters_tie_breaks_to_lowest_id():
     positions = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (10.0, 0.0),
                  (3.0, 3.0), (4.0, 4.0), (5.0, 5.0), (-10.0, 0.0)]
     net = make_network(positions)
-    assignment = form_clusters(net, [7, 3])
-    assert assignment[0] == 3
+    assert assignment(form_clusters(net, [7, 3]))[0] == 3
 
 
 def test_form_clusters_nearest_wins():
     net = make_network([(0.0, 0.0), (10.0, 0.0), (0.0, 5.0)])
-    assignment = form_clusters(net, [1, 2])
-    assert assignment[0] == 2
+    assert assignment(form_clusters(net, [1, 2]))[0] == 2
 
 
 def test_form_clusters_requires_chs():
@@ -274,65 +269,86 @@ def test_form_clusters_total_on_alive_non_chs(n, seed):
     net = deploy(NetworkConfig(node_count=n), seed=seed)
     rng = random.Random(seed)
     dead = [node.id for node in net.nodes if rng.random() < 0.2]
-    for node_id in dead[: n - 1]:
-        net.nodes[node_id].alive = False
-    alive_ids = [node.id for node in net.nodes if node.alive]
+    net.alive[dead[: n - 1]] = False
+    alive_ids = np.flatnonzero(net.alive).tolist()
     ch_ids = alive_ids[: max(1, len(alive_ids) // 3)]
-    assignment = form_clusters(net, ch_ids)
-    assert set(assignment) == set(alive_ids) - set(ch_ids)
-    for member, ch in assignment.items():
-        d = net.node_distance(member, ch)
-        assert all(d <= net.node_distance(member, other) + 1e-12 for other in ch_ids)
+    clusters = form_clusters(net, ch_ids)
+    assert set(clusters.members.tolist()) == set(alive_ids) - set(ch_ids)
+    for member, ch, d in zip(clusters.members, clusters.heads, clusters.distances):
+        assert d == net.distances([member], [ch])[0, 0]
+        assert all(d <= net.distances([member], [other])[0, 0] + 1e-12 for other in ch_ids)
 
 
 # --- TEEN mechanics -------------------------------------------------------
 
+def gate(net, sensed):
+    """Node 0's TEEN gate on one sensed value, at hard 100 / soft 2."""
+    return teen_should_transmit(net, np.array([0]), np.array([sensed]), 100.0, 2.0)[0]
+
+
 def test_teen_gate_first_crossing_transmits():
-    node = _node(0.5)
-    assert teen_should_transmit(node, 150.0, 100.0, 2.0) is True
-    assert node.teen_last_sent_value == 150.0
+    net = make_network([(0.0, 0.0)])
+    assert gate(net, 150.0)
+    assert net.teen_last_sent[0] == 150.0
 
 
 def test_teen_gate_blocks_small_change():
-    node = _node(0.5)
-    node.teen_last_sent_value = 149.5
-    assert teen_should_transmit(node, 150.0, 100.0, 2.0) is False
-    assert node.teen_last_sent_value == 149.5
+    net = make_network([(0.0, 0.0)])
+    net.teen_last_sent[0] = 149.5
+    assert not gate(net, 150.0)
+    assert net.teen_last_sent[0] == 149.5
 
 
 def test_teen_gate_blocks_below_hard_threshold():
-    node = _node(0.5)
-    node.teen_last_sent_value = 10.0
-    assert teen_should_transmit(node, 90.0, 100.0, 2.0) is False
+    net = make_network([(0.0, 0.0)])
+    net.teen_last_sent[0] = 10.0
+    assert not gate(net, 90.0)
 
 
 def test_teen_next_hop_single_ch_goes_to_bs():
     net = make_network([(10.0, 10.0), (20.0, 20.0)])
-    assert teen_next_hop(net.nodes[0], [net.nodes[0]], net) is None
+    next_hop, hop_dist = teen_next_hop(net, np.array([0]))
+    assert next_hop.tolist() == [-1]
+    assert hop_dist[0] == net.dist_to_bs[0]
 
 
 def test_teen_next_hop_prefers_near_ch_closer_to_bs():
     # BS at (50,50); ch0 is 40 from BS, ch1 is 10 from BS and 30 from ch0
     net = make_network([(10.0, 50.0), (40.0, 50.0), (90.0, 50.0)])
-    chs = [net.nodes[0], net.nodes[1]]
-    assert teen_next_hop(net.nodes[0], chs, net) == 1
-    assert teen_next_hop(net.nodes[1], chs, net) is None
+    next_hop, hop_dist = teen_next_hop(net, np.array([0, 1]))
+    assert next_hop.tolist() == [1, -1]
+    assert hop_dist.tolist() == [30.0, 10.0]
 
 
 def test_teen_next_hop_forwarding_is_acyclic():
     net = deploy(NetworkConfig(node_count=40), seed=8)
-    ch_nodes = [net.nodes[i] for i in range(0, 40, 4)]
-    for ch in ch_nodes:
+    ch_ids = np.arange(0, 40, 4)
+    hop_of = dict(zip(ch_ids.tolist(), teen_next_hop(net, ch_ids)[0].tolist()))
+    for ch in ch_ids.tolist():
         hops = 0
         current = ch
-        while True:
-            nxt = teen_next_hop(current, ch_nodes, net)
-            if nxt is None:
-                break
-            assert net.bs_distance(nxt) < net.bs_distance(current.id)
-            current = net.nodes[nxt]
+        while hop_of[current] >= 0:
+            nxt = hop_of[current]
+            assert net.dist_to_bs[nxt] < net.dist_to_bs[current]
+            current = nxt
             hops += 1
-            assert hops <= len(ch_nodes)
+            assert hops <= len(ch_ids)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=15))
+def test_teen_next_hop_matches_pairwise_search(cells):
+    # every node a CH, on a 10 m grid so that distance ties are exact
+    net = make_network([(10.0 * i, 10.0 * j) for i, j in cells])
+    ch_ids = np.arange(len(cells))
+    next_hop, hop_dist = teen_next_hop(net, ch_ids)
+    block = net.distances(ch_ids, ch_ids)
+    for ch in ch_ids.tolist():
+        best, best_d = -1, float("inf")
+        for other in ch_ids.tolist():
+            if net.dist_to_bs[other] < net.dist_to_bs[ch] and block[ch, other] < best_d:
+                best, best_d = other, block[ch, other]
+        assert next_hop[ch] == best
+        assert hop_dist[ch] == (best_d if best >= 0 else net.dist_to_bs[ch])
 
 
 def test_make_protocol_factory():
