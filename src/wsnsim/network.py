@@ -127,10 +127,10 @@ class Network:
         self.teen_last_sent = np.full(len(nodes), np.nan)
 
     def distances(self, rows, cols) -> np.ndarray:
-        """Distances from each node in `rows` to each node in `cols`, computed in place.
+        """Distances from each node in `rows` to each node in `cols`.
 
-        Entry [i, j] is sqrt(dx^2 + dy^2) with dx = x[rows[i]] - x[cols[j]],
-        the same float operations for every query.
+        Entry [i, j] is sqrt(dx^2 + dy^2) with dx = x[rows[i]] - x[cols[j]]:
+        the same float operations, so the same bits, for every query.
         """
         dx = np.subtract.outer(self.x[rows], self.x[cols])
         dy = np.subtract.outer(self.y[rows], self.y[cols])

@@ -95,9 +95,9 @@ class ElectionOutcome:
 
 def _check_probability(p) -> None:
     p = np.asarray(p)
-    if not np.logical_and(p > 0, p <= 1).all():
-        bad = p[~np.logical_and(p > 0, p <= 1)]
-        raise ValueError(f"probability must lie in (0, 1], got {float(bad.flat[0])!r}")
+    valid = (p > 0) & (p <= 1)
+    if not valid.all():
+        raise ValueError(f"probability must lie in (0, 1], got {float(p[~valid].flat[0])!r}")
 
 
 def epoch_length(p):
