@@ -91,21 +91,6 @@ def _write_run_outputs(out_dir: Path, name: str, seed: int, result,
         fh.write(topology)
 
 
-def _write_comparison_long(results, stream) -> None:
-    stream.write("round,protocol,metric,value,seed\n")
-    for result in results:
-        for m in result.trace:
-            stream.write(f"{m.round},{result.protocol},alive,{m.alive},{result.seed}\n")
-            stream.write(f"{m.round},{result.protocol},dead,{m.dead},{result.seed}\n")
-            stream.write(f"{m.round},{result.protocol},ch_count,{m.ch_count},{result.seed}\n")
-            stream.write(f"{m.round},{result.protocol},packets_to_bs,"
-                         f"{m.packets_to_bs},{result.seed}\n")
-            stream.write(f"{m.round},{result.protocol},packets_to_ch,"
-                         f"{m.packets_to_ch},{result.seed}\n")
-            stream.write(f"{m.round},{result.protocol},total_residual_energy,"
-                         f"{m.total_residual_energy!r},{result.seed}\n")
-
-
 def _sweep(args, compare: bool) -> int:
     """Run every protocol on every seed and write the per-run and aggregate files.
 
@@ -141,7 +126,19 @@ def _sweep(args, compare: bool) -> int:
 
     if compare:
         with open(out_dir / "comparison_long.csv", "w", encoding="utf-8") as fh:
-            _write_comparison_long(results, fh)
+            fh.write("round,protocol,metric,value,seed\n")
+            for result in results:
+                for m in result.trace:
+                    fh.write(f"{m.round},{result.protocol},alive,{m.alive},{result.seed}\n")
+                    fh.write(f"{m.round},{result.protocol},dead,{m.dead},{result.seed}\n")
+                    fh.write(f"{m.round},{result.protocol},ch_count,{m.ch_count},"
+                             f"{result.seed}\n")
+                    fh.write(f"{m.round},{result.protocol},packets_to_bs,"
+                             f"{m.packets_to_bs},{result.seed}\n")
+                    fh.write(f"{m.round},{result.protocol},packets_to_ch,"
+                             f"{m.packets_to_ch},{result.seed}\n")
+                    fh.write(f"{m.round},{result.protocol},total_residual_energy,"
+                             f"{m.total_residual_energy!r},{result.seed}\n")
     if compare or len(results) > 1:
         with open(out_dir / "summary_stats.csv", "w", encoding="utf-8") as fh:
             write_summary_stats_csv(aggregate(results), fh)

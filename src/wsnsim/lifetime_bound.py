@@ -399,4 +399,3 @@ def schedule_to_text(schedule: Schedule) -> str:
         for row in per_round:
             lines.append(" ".join("1" if v else "0" for v in row))
     return "\n".join(lines) + "\n"
-
