@@ -229,16 +229,10 @@ class Clusters:
     distances: np.ndarray
 
 
-# members are assigned in row blocks of about this many distances (256 KiB),
-# which stay in cache; a whole members x CHs block at N = 1600 runs 2x slower
-_BLOCK_ENTRIES = 32768
-
-
 def form_clusters(network: Network, ch_ids) -> Clusters:
     """Assign every alive non-CH node to its nearest CH (ties: lowest CH id).
 
-    Distances are computed this round only, a block of member rows at a
-    time.
+    The members x CHs distances are computed for this round only.
     """
     if len(ch_ids) == 0:
         raise ValueError("no cluster heads to form clusters around")
@@ -246,16 +240,12 @@ def form_clusters(network: Network, ch_ids) -> Clusters:
     is_member = network.alive.copy()
     is_member[chs] = False
     members = is_member.nonzero()[0]
-    nearest = np.empty(len(members), dtype=np.intp)
-    distances = np.empty(len(members))
-    step = max(1, _BLOCK_ENTRIES // len(chs))
-    for lo in range(0, len(members), step):
-        block = network.distances(members[lo:lo + step], chs)
-        # argmin returns the first minimum, so sorted CH columns break ties
-        # toward the lowest CH id
-        nearest[lo:lo + step] = rows_nearest = block.argmin(axis=1)
-        distances[lo:lo + step] = block[np.arange(len(rows_nearest)), rows_nearest]
-    return Clusters(members=members, heads=chs[nearest], distances=distances)
+    block = network.distances(members, chs)
+    # argmin returns the first minimum, so sorted CH columns break ties
+    # toward the lowest CH id
+    nearest = block.argmin(axis=1)
+    return Clusters(members=members, heads=chs[nearest],
+                    distances=block[np.arange(len(members)), nearest])
 
 
 def teen_should_transmit(network: Network, ids: np.ndarray, sensed: np.ndarray,

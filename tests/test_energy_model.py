@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +42,27 @@ def test_tx_energy_free_space_hand_value():
 
 def test_tx_energy_zero_bits():
     assert tx_energy(TABLE, 0, 31.0) == 0.0
+
+
+def tx_energy_reference(params, bits, distance):
+    """The scalar first-order radio formula, one branch per regime."""
+    d_sq = distance * distance
+    if distance < crossover_distance(params):
+        amp = params.e_fs * d_sq
+    else:
+        amp = params.e_mp * d_sq * d_sq
+    return bits * params.e_elec + bits * amp
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=1, max_size=20))
+def test_tx_energy_arrays_match_the_scalar_formula(distances):
+    d0 = crossover_distance(TABLE)
+    distances = distances + [d0, math.nextafter(d0, 0.0)]
+    batch = tx_energy(TABLE, 4000, np.array(distances))
+    for d, got in zip(distances, batch.tolist()):
+        scalar = tx_energy(TABLE, 4000, d)
+        assert type(scalar) is float
+        assert got == scalar == tx_energy_reference(TABLE, 4000, d)
 
 
 def test_tx_energy_branches_agree_at_crossover():

@@ -200,6 +200,18 @@ def test_rerun_reproduces_identical_trace_bytes():
     assert buffers[0] == buffers[1]
 
 
+def test_trace_fields_are_python_numbers():
+    # a numpy scalar would print as np.float64(...) in the trace and summary
+    cfg = NetworkConfig(node_count=30, initial_energy=0.02, max_rounds=300)
+    for name in ("leach", "teen", "sep", "deec"):
+        result = run_simulation(cfg, make_protocol(name, cfg), seed=4)
+        assert type(result.total_packets_to_bs) is int
+        for m in result.trace:
+            assert all(type(getattr(m, f)) is int for f in
+                       ("round", "alive", "dead", "ch_count", "packets_to_bs", "packets_to_ch"))
+            assert type(m.total_residual_energy) is float
+
+
 def test_trace_csv_round_trip():
     cfg = NetworkConfig(node_count=10, max_rounds=40)
     result = run_simulation(cfg, make_protocol("sep", cfg), seed=8)

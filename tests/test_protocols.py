@@ -279,18 +279,6 @@ def test_form_clusters_total_on_alive_non_chs(n, seed):
         assert all(d <= net.distances([member], [other])[0, 0] + 1e-12 for other in ch_ids)
 
 
-def test_form_clusters_row_blocks_match_one_whole_block():
-    # 150 CHs at N = 1200 take several row blocks; the reference is one
-    # argmin over the whole members x CHs block
-    net = deploy(NetworkConfig(node_count=1200), seed=3)
-    ch_ids = np.arange(0, 1200, 8)
-    clusters = form_clusters(net, ch_ids)
-    whole = net.distances(clusters.members, ch_ids)
-    nearest = whole.argmin(axis=1)
-    assert (clusters.heads == ch_ids[nearest]).all()
-    assert (clusters.distances == whole[np.arange(len(nearest)), nearest]).all()
-
-
 # --- TEEN mechanics -------------------------------------------------------
 
 def gate(net, sensed):
