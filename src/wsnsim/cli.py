@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
-from .engine import run_simulation, summary_dict, write_trace_csv
+from .engine import TRACE_COLUMNS, run_simulation, write_summary_json, write_trace_csv
 from .lifetime_bound import (
     InstanceTooLargeError,
     bound_for_simulated_network,
@@ -59,6 +59,7 @@ def parse_protocols(spec: str) -> list[str]:
 
 
 def _load_effective_config(args) -> NetworkConfig:
+    """The config file (or defaults), then --override, --max-rounds and bound's --nodes."""
     config = load_config(args.config) if args.config else NetworkConfig()
     if args.override:
         items = {}
@@ -70,13 +71,10 @@ def _load_effective_config(args) -> NetworkConfig:
         config = config_from_items(items, base=config)
     if args.max_rounds is not None:
         config = replace(config, max_rounds=args.max_rounds)
+    if args.command == "bound":
+        config = replace(config, node_count=args.nodes)
     config.validate()
     return config
-
-
-def _show_config(config: NetworkConfig) -> None:
-    for key, value in config_as_items(config).items():
-        print(f"{key} = {value}")
 
 
 def _write_run_outputs(out_dir: Path, name: str, seed: int, result,
@@ -85,13 +83,12 @@ def _write_run_outputs(out_dir: Path, name: str, seed: int, result,
     with open(out_dir / f"{prefix}_trace.csv", "w", encoding="utf-8") as fh:
         write_trace_csv(result, fh)
     with open(out_dir / f"{prefix}_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(result), fh, indent=2)
-        fh.write("\n")
+        write_summary_json(result, fh)
     with open(out_dir / f"{prefix}_topology.csv", "w", encoding="utf-8") as fh:
         fh.write(topology)
 
 
-def _sweep(args, compare: bool) -> int:
+def _sweep(args) -> int:
     """Run every protocol on every seed and write the per-run and aggregate files.
 
     `compare` needs two or more protocols and adds `comparison_long.csv`.
@@ -99,11 +96,8 @@ def _sweep(args, compare: bool) -> int:
     shares; every check runs before the output directory is created.
     """
     config = _load_effective_config(args)
-    if args.show_config:
-        _show_config(config)
-        return 0
     protocols = parse_protocols(args.protocol)
-    if compare and len(protocols) < 2:
+    if args.compare and len(protocols) < 2:
         print("error: compare needs at least two protocols", file=sys.stderr)
         return 2
     seeds = parse_seeds(args.seeds)
@@ -124,22 +118,18 @@ def _sweep(args, compare: bool) -> int:
             _write_run_outputs(out_dir, name, seed, result, topologies[seed])
             results.append(result)
 
-    if compare:
+    if args.compare:
         with open(out_dir / "comparison_long.csv", "w", encoding="utf-8") as fh:
             fh.write("round,protocol,metric,value,seed\n")
+            # one line per trace metric; attrgetter, as vars() would give every
+            # RoundMetrics a __dict__ for good (+1.5 MiB peak on a 2-seed compare)
+            metrics = TRACE_COLUMNS[1:]
+            round_and_values = attrgetter(*[f for name in metrics for f in ("round", name)])
             for result in results:
-                for m in result.trace:
-                    fh.write(f"{m.round},{result.protocol},alive,{m.alive},{result.seed}\n")
-                    fh.write(f"{m.round},{result.protocol},dead,{m.dead},{result.seed}\n")
-                    fh.write(f"{m.round},{result.protocol},ch_count,{m.ch_count},"
-                             f"{result.seed}\n")
-                    fh.write(f"{m.round},{result.protocol},packets_to_bs,"
-                             f"{m.packets_to_bs},{result.seed}\n")
-                    fh.write(f"{m.round},{result.protocol},packets_to_ch,"
-                             f"{m.packets_to_ch},{result.seed}\n")
-                    fh.write(f"{m.round},{result.protocol},total_residual_energy,"
-                             f"{m.total_residual_energy!r},{result.seed}\n")
-    if compare or len(results) > 1:
+                rows = "".join(f"%s,{result.protocol},{name},%s,{result.seed}\n"
+                               for name in metrics)
+                fh.writelines(rows % round_and_values(m) for m in result.trace)
+    if args.compare or len(results) > 1:
         with open(out_dir / "summary_stats.csv", "w", encoding="utf-8") as fh:
             write_summary_stats_csv(aggregate(results), fh)
     if args.require_termination and all(r.censored for r in results):
@@ -148,27 +138,20 @@ def _sweep(args, compare: bool) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    return _sweep(args, compare=False)
-
-
-def cmd_compare(args) -> int:
-    return _sweep(args, compare=True)
-
-
 def cmd_bound(args) -> int:
-    if args.instance:
-        instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
-    elif args.from_network:
+    if bool(args.instance) == args.from_network:
+        print("error: give either an instance file or --from-network", file=sys.stderr)
+        return 2
+    if args.check_sim and not args.from_network:
+        print("error: --check-sim needs --from-network", file=sys.stderr)
+        return 2
+    if args.from_network:
         config = _load_effective_config(args)
-        config = replace(config, node_count=args.nodes)
-        config.validate()
         network = deploy(config, args.seed)
         instance = bound_for_simulated_network(network, k_max=args.k_max,
                                                max_range=args.max_range)
     else:
-        print("error: give an instance file or --from-network", file=sys.stderr)
-        return 2
+        instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
 
     try:
         k_star, schedule = solve_exact(instance)
@@ -185,9 +168,6 @@ def cmd_bound(args) -> int:
         fh.write(instance_to_text(instance))
 
     if args.check_sim:
-        if not args.from_network:
-            print("error: --check-sim needs --from-network", file=sys.stderr)
-            return 2
         result = run_simulation(config, make_protocol("leach", config), args.seed)
         if result.censored:
             print("error: simulation censored at max_rounds; raise it to "
@@ -223,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seeds", default="1", help="e.g. 7 or 1,2,5 or 1..20")
     run_p.add_argument("--require-termination", action="store_true",
                        help="fail if every run hits max_rounds with survivors")
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=_sweep, compare=False)
 
     cmp_p = sub.add_parser("compare", parents=[common],
                            help="run several protocols on shared topologies")
     cmp_p.add_argument("--protocol", default="leach,teen,sep,deec")
     cmp_p.add_argument("--seeds", default="1")
     cmp_p.add_argument("--require-termination", action="store_true")
-    cmp_p.set_defaults(func=cmd_compare)
+    cmp_p.set_defaults(func=_sweep, compare=True)
 
     bound_p = sub.add_parser("bound", parents=[common],
                              help="solve the exact lifetime bound on a tiny instance")
@@ -249,9 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.show_config:
+            for key, value in config_as_items(_load_effective_config(args)).items():
+                print(f"{key} = {value}")
+            return 0
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ aggregation costs a fixed amount per bit per report. All values are joules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -25,10 +25,10 @@ class RadioParams:
     e_da: float = 5e-9          # aggregation, J/bit/report
 
     def __post_init__(self):
-        for name in ("e_elec", "e_fs", "e_mp", "e_da"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
 
 @lru_cache(maxsize=None)

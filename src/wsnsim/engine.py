@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, TextIO
 
 import numpy as np
@@ -30,10 +31,6 @@ from .protocols import (
     teen_should_transmit,
 )
 
-TRACE_COLUMNS = ("round", "alive", "dead", "ch_count", "packets_to_bs",
-                 "packets_to_ch", "total_residual_energy")
-
-
 @dataclass
 class RoundMetrics:
     round: int
@@ -43,6 +40,12 @@ class RoundMetrics:
     packets_to_bs: int
     packets_to_ch: int
     total_residual_energy: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
+_trace_values = attrgetter(*TRACE_COLUMNS)
+_TRACE_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\n"
+_TRACE_TYPES = tuple(int if f.type == "int" else float for f in fields(RoundMetrics))
 
 
 @dataclass
@@ -228,12 +231,12 @@ def run_simulation(config: NetworkConfig, protocol: ProtocolKind,
 
 
 def write_trace_csv(result: SimulationResult, stream: TextIO) -> None:
-    """Emit the per-round trace with a fixed column order."""
+    """Emit the per-round trace, one column per `RoundMetrics` field in order.
+
+    `str` is exact for ints and round-trips floats.
+    """
     stream.write(",".join(TRACE_COLUMNS) + "\n")
-    for m in result.trace:
-        stream.write(f"{m.round},{m.alive},{m.dead},{m.ch_count},"
-                     f"{m.packets_to_bs},{m.packets_to_ch},"
-                     f"{m.total_residual_energy!r}\n")
+    stream.writelines(_TRACE_ROW % _trace_values(m) for m in result.trace)
 
 
 def read_trace_csv(stream: TextIO) -> list[RoundMetrics]:
@@ -243,13 +246,11 @@ def read_trace_csv(stream: TextIO) -> list[RoundMetrics]:
     out = []
     for line in stream:
         parts = line.strip().split(",")
-        if not parts or parts == [""]:
+        if parts == [""]:
             continue
-        out.append(RoundMetrics(round=int(parts[0]), alive=int(parts[1]),
-                                dead=int(parts[2]), ch_count=int(parts[3]),
-                                packets_to_bs=int(parts[4]),
-                                packets_to_ch=int(parts[5]),
-                                total_residual_energy=float(parts[6])))
+        if len(parts) != len(TRACE_COLUMNS):
+            raise ValueError(f"trace row needs {len(TRACE_COLUMNS)} values, got {line.strip()!r}")
+        out.append(RoundMetrics(*(parse(v) for parse, v in zip(_TRACE_TYPES, parts))))
     return out
 
 

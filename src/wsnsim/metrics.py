@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, TextIO
 
 from .engine import RoundMetrics, SimulationResult
@@ -82,8 +82,7 @@ def run_metrics(result: SimulationResult) -> dict[str, float]:
     }
 
 
-_METRIC_FIELDS = ("stability_period", "instability_period", "network_lifetime",
-                  "total_packets_to_bs", "mean_ch_count", "ch_count_stddev")
+_METRIC_FIELDS = tuple(f.name for f in fields(SummaryStats) if f.type == "MeanStd")
 
 
 def aggregate(results: Iterable[SimulationResult]) -> list[SummaryStats]:
@@ -104,12 +103,7 @@ def aggregate(results: Iterable[SimulationResult]) -> list[SummaryStats]:
             protocol=protocol,
             n_runs=len(group),
             n_censored=sum(1 for r in group if r.censored),
-            stability_period=stats["stability_period"],
-            instability_period=stats["instability_period"],
-            network_lifetime=stats["network_lifetime"],
-            total_packets_to_bs=stats["total_packets_to_bs"],
-            mean_ch_count=stats["mean_ch_count"],
-            ch_count_stddev=stats["ch_count_stddev"],
+            **stats,
         ))
     return out
 

@@ -189,7 +189,7 @@ def _parse_scalar(key: str, raw: str):
         if key == "bs_position":
             x, y = text.replace(",", " ").split()
             return (float(x), float(y))
-        if key in ("node_count", "packet_bits", "max_rounds"):
+        if key in _INT_KEYS:
             return int(text)
         return float(text)
     except ValueError:
@@ -215,13 +215,9 @@ def _parse_energy(text: str) -> float:
     return float(text)
 
 
-_CONFIG_KEYS = {
-    "field_width", "field_height", "node_count", "bs_position",
-    "initial_energy", "p_opt", "adv_fraction", "adv_energy_factor",
-    "packet_bits", "teen_hard_threshold", "teen_soft_threshold",
-    "teen_sense_min", "teen_sense_max", "max_rounds",
-}
-_RADIO_KEYS = {"e_elec", "e_fs", "e_mp", "e_da"}
+_CONFIG_KEYS = {f.name for f in fields(NetworkConfig) if f.name != "radio"}
+_RADIO_KEYS = {f.name for f in fields(RadioParams)}
+_INT_KEYS = {f.name for f in fields(NetworkConfig) if f.type == "int"}
 _ENERGY_KEYS = _RADIO_KEYS | {"initial_energy"}
 
 
@@ -262,24 +258,13 @@ def load_config(path: str, base: Optional[NetworkConfig] = None) -> NetworkConfi
 
 def config_as_items(config: NetworkConfig) -> dict[str, str]:
     """Flatten a config back to the key=value form accepted by load_config."""
-    out = {
-        "field_width": repr(config.field_width),
-        "field_height": repr(config.field_height),
-        "node_count": str(config.node_count),
-        "bs_position": f"{config.bs_position[0]!r},{config.bs_position[1]!r}",
-        "initial_energy": repr(config.initial_energy),
-        "p_opt": repr(config.p_opt),
-        "adv_fraction": repr(config.adv_fraction),
-        "adv_energy_factor": repr(config.adv_energy_factor),
-        "packet_bits": str(config.packet_bits),
-        "e_elec": repr(config.radio.e_elec),
-        "e_fs": repr(config.radio.e_fs),
-        "e_mp": repr(config.radio.e_mp),
-        "e_da": repr(config.radio.e_da),
-        "teen_hard_threshold": repr(config.teen_hard_threshold),
-        "teen_soft_threshold": repr(config.teen_soft_threshold),
-        "teen_sense_min": repr(config.teen_sense_min),
-        "teen_sense_max": repr(config.teen_sense_max),
-        "max_rounds": str(config.max_rounds),
-    }
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "radio":
+            out.update((r.name, repr(getattr(value, r.name))) for r in fields(value))
+        elif f.name == "bs_position":
+            out[f.name] = f"{value[0]!r},{value[1]!r}"
+        else:
+            out[f.name] = repr(value)
     return out

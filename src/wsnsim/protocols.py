@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .network import ADVANCED, Network
+from .network import Network
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,6 @@ def sep_probabilities(p_opt: float, m: float, alpha: float) -> tuple[float, floa
     _check_probability(p_opt)
     denom = 1.0 + alpha * m
     return p_opt / denom, p_opt * (1.0 + alpha) / denom
-
-
-def sep_threshold(node_class: str, p_nrm: float, p_adv: float,
-                  round_index: int, eligible: bool) -> float:
-    """Per-class election threshold; epochs are class-specific."""
-    p = p_adv if node_class == ADVANCED else p_nrm
-    return leach_threshold(p, round_index, eligible)
 
 
 def network_average_energy(residuals: list[float]) -> float:

@@ -186,6 +186,40 @@ def test_bound_check_sim_dominance(tmp_path, capsys):
     assert "bound dominance holds" in out
 
 
+def test_bound_readme_check_sim_example(tmp_path, capsys):
+    # a battery of 5.2 packets' electronics cost: the run dies well inside K*
+    code = run_cli("bound", "--from-network", "--nodes", "4", "--seed", "3",
+                   "--check-sim", "--override", "initial_energy=1.04mJ",
+                   "--out", str(tmp_path / "o"))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "K* = 16" in out
+    assert "simulated lifetime = 4" in out
+
+
+def test_bound_show_config_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("bound", "--from-network", "--nodes", "3", "--show-config",
+                   "--out", str(out)) == 0
+    text = capsys.readouterr().out
+    assert "node_count = 3" in text
+    assert "K* =" not in text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("network_flag", [[], ["--from-network"]])
+def test_bound_file_with_check_sim_rejected_before_any_file(tmp_path, capsys, network_flag):
+    path = tmp_path / "inst.txt"
+    path.write_text(instance_to_text(full_coverage_instance()), encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("bound", str(path), *network_flag, "--check-sim", "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--from-network" in captured.err
+    assert "K* =" not in captured.out
+    assert not out.exists()
+
+
 def test_parse_seeds_rejects_reversed_range():
     for spec in ("5..1", "1..3,5..1"):
         with pytest.raises(ValueError, match="reversed"):

@@ -220,3 +220,10 @@ def test_trace_csv_round_trip():
     buf.seek(0)
     parsed = read_trace_csv(buf)
     assert parsed == result.trace
+
+
+@pytest.mark.parametrize("row", ["0,1,2", "0,1,2,3,4,5,6.0,7"])
+def test_read_trace_csv_rejects_wrong_column_count(row):
+    header = "round,alive,dead,ch_count,packets_to_bs,packets_to_ch,total_residual_energy\n"
+    with pytest.raises(ValueError, match="7 values"):
+        read_trace_csv(io.StringIO(header + row + "\n"))

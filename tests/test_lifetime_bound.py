@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnsim.energy_model import RadioParams
 from wsnsim.lifetime_bound import (
@@ -165,6 +167,37 @@ def test_exact_matches_exhaustive_on_random_instances():
         k_exact, schedule = solve_exact(instance)
         assert k_exact == solve_exhaustive(instance)
         assert verify_schedule(instance, schedule)[0]
+
+
+@st.composite
+def single_target_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    z = draw(st.integers(min_value=1, max_value=2))
+    return BoundInstance(
+        n_sensors=n, n_chs=1, n_ranges=z,
+        k_max=draw(st.integers(min_value=1, max_value=10)),
+        range_energies=tuple(draw(st.lists(st.floats(min_value=0.2, max_value=1.5),
+                                           min_size=z, max_size=z))),
+        budget=draw(st.floats(min_value=0.5, max_value=3.0)),
+        coverage=tuple(tuple((draw(st.booleans()),) for _ in range(z)) for _ in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_target_instances())
+def test_exact_matches_exhaustive_with_one_target(instance):
+    assert solve_exact(instance)[0] == solve_exhaustive(instance)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=5),
+       st.floats(min_value=1.0, max_value=6.0),
+       st.integers(min_value=0, max_value=10**6))
+def test_exact_matches_exhaustive_on_simulated_networks(n, packets, seed):
+    # a battery of a few packets' electronics cost keeps K* below K = 16
+    cfg = NetworkConfig(node_count=n, adv_fraction=0.0,
+                        initial_energy=packets * 4000 * RadioParams().e_elec)
+    instance = bound_for_simulated_network(deploy(cfg, seed))
+    assert solve_exact(instance)[0] == solve_exhaustive(instance)
 
 
 def test_k_star_monotone_in_budget_and_coverage():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wsnsim.energy_model import RadioParams
 from wsnsim.network import (
     ADVANCED,
     NORMAL,
@@ -116,6 +117,36 @@ def test_config_file_round_trip(tmp_path):
     text = "\n".join(f"{k} = {v}" for k, v in config_as_items(cfg).items())
     path.write_text(text + "\n# trailing comment\n", encoding="utf-8")
     assert load_config(str(path)) == cfg
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, **kw)
+
+
+valid_configs = st.builds(
+    NetworkConfig,
+    field_width=_floats(1e-3, 1e4),
+    field_height=_floats(1e-3, 1e4),
+    node_count=st.integers(min_value=1, max_value=10**6),
+    bs_position=st.tuples(_floats(-1e4, 1e4), _floats(-1e4, 1e4)),
+    initial_energy=_floats(1e-12, 1e3),
+    p_opt=_floats(0.0, 1.0, exclude_min=True),
+    adv_fraction=_floats(0.0, 1.0),
+    adv_energy_factor=_floats(0.0, 10.0),
+    packet_bits=st.integers(min_value=0, max_value=10**6),
+    radio=st.builds(RadioParams, e_elec=_floats(1e-15, 1.0), e_fs=_floats(1e-15, 1.0),
+                    e_mp=_floats(1e-18, 1.0), e_da=_floats(1e-15, 1.0)),
+    teen_hard_threshold=_floats(0.0, 100.0, exclude_max=True),
+    teen_soft_threshold=_floats(0.0, 50.0),
+    teen_sense_min=_floats(-100.0, 0.0),
+    teen_sense_max=_floats(100.0, 1e3),
+    max_rounds=st.integers(min_value=0, max_value=10**6),
+)
+
+
+@given(valid_configs)
+def test_config_items_round_trip(cfg):
+    assert config_from_items(config_as_items(cfg)) == cfg
 
 
 def test_config_rejects_unknown_key(tmp_path):

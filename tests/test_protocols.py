@@ -20,7 +20,6 @@ from wsnsim.protocols import (
     make_protocol,
     network_average_energy,
     sep_probabilities,
-    sep_threshold,
     teen_next_hop,
     teen_should_transmit,
 )
@@ -79,22 +78,38 @@ def test_sep_weighted_mean_identity(p_opt, m, alpha):
     assert (1 - m) * p_nrm + m * p_adv == pytest.approx(p_opt, rel=1e-12)
 
 
+def sep_network():
+    """Nodes 0, 1 normal and 2, 3 advanced, with SEP's p_nrm = 1/11, p_adv = 2/11."""
+    net = make_network([(float(i), 0.0) for i in range(4)],
+                       classes=[NORMAL, NORMAL, ADVANCED, ADVANCED])
+    return net, Sep(*sep_probabilities(0.1, 0.1, 1.0))
+
+
 def test_sep_threshold_normal_epoch_start():
-    p_nrm, p_adv = sep_probabilities(0.1, 0.1, 1.0)
-    assert sep_threshold(NORMAL, p_nrm, p_adv, 0, True) == pytest.approx(p_nrm, rel=1e-12)
+    net, protocol = sep_network()
+    outcome = elect_cluster_heads(net, protocol, 0, random.Random(0))
+    normal = outcome.candidates < 2
+    assert outcome.candidates[normal].tolist() == [0, 1]
+    assert outcome.thresholds[normal] == pytest.approx([protocol.p_nrm] * 2, rel=1e-12)
 
 
 def test_sep_threshold_advanced_mid_epoch():
-    p_nrm, p_adv = sep_probabilities(0.1, 0.1, 1.0)
-    assert epoch_length(p_adv) == 6
+    net, protocol = sep_network()
+    assert epoch_length(protocol.p_adv) == 6
+    outcome = elect_cluster_heads(net, protocol, 4, random.Random(0))
+    advanced = outcome.candidates >= 2
+    assert outcome.candidates[advanced].tolist() == [2, 3]
     # r mod 6 == 4: p_adv / (1 - 4*p_adv) == 2/3
-    assert sep_threshold(ADVANCED, p_nrm, p_adv, 4, True) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert outcome.thresholds[advanced] == pytest.approx([2.0 / 3.0] * 2, rel=1e-12)
 
 
 def test_sep_threshold_ineligible():
-    p_nrm, p_adv = sep_probabilities(0.1, 0.1, 1.0)
-    assert sep_threshold(NORMAL, p_nrm, p_adv, 3, False) == 0.0
-    assert sep_threshold(ADVANCED, p_nrm, p_adv, 3, False) == 0.0
+    net, protocol = sep_network()
+    net.eligible[[1, 3]] = False
+    # round 3 refills neither class's eligibility (epochs of 11 and 6 rounds)
+    outcome = elect_cluster_heads(net, protocol, 3, random.Random(0))
+    assert outcome.candidates.tolist() == [0, 2]
+    assert not np.isin([1, 3], outcome.ch_ids).any()
 
 
 # --- DEEC -----------------------------------------------------------------
