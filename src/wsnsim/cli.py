@@ -26,7 +26,7 @@ from .lifetime_bound import (
 )
 from .metrics import aggregate, network_lifetime, write_summary_stats_csv
 from .network import NetworkConfig, config_as_items, config_from_items, deploy, load_config
-from .protocols import PROTOCOL_NAMES, make_protocol
+from .protocols import Protocol, make_protocol
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -48,14 +48,11 @@ def parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
-def parse_protocols(spec: str) -> list[str]:
-    names = [p.strip().lower() for p in spec.split(",") if p.strip()]
-    for name in names:
-        if name not in PROTOCOL_NAMES:
-            raise ValueError(f"unknown protocol {name!r} (expected one of {PROTOCOL_NAMES})")
-    if not names:
+def parse_protocols(spec: str) -> list[Protocol]:
+    protocols = [make_protocol(name) for name in spec.split(",") if name.strip()]
+    if not protocols:
         raise ValueError("no protocols given")
-    return names
+    return protocols
 
 
 def _load_effective_config(args) -> NetworkConfig:
@@ -73,7 +70,6 @@ def _load_effective_config(args) -> NetworkConfig:
         config = replace(config, max_rounds=args.max_rounds)
     if args.command == "bound":
         config = replace(config, node_count=args.nodes)
-    config.validate()
     return config
 
 
@@ -112,10 +108,10 @@ def _sweep(args) -> int:
         deploy(config, seed).write_topology_csv(buf)
         topologies[seed] = buf.getvalue()
     results = []
-    for name in protocols:
+    for protocol in protocols:
         for seed in seeds:
-            result = run_simulation(config, make_protocol(name, config), seed)
-            _write_run_outputs(out_dir, name, seed, result, topologies[seed])
+            result = run_simulation(config, protocol, seed)
+            _write_run_outputs(out_dir, protocol.name, seed, result, topologies[seed])
             results.append(result)
 
     if args.compare:

@@ -23,8 +23,7 @@ import numpy as np
 from .energy_model import aggregation_energy, rx_energy, tx_energy
 from .network import Network, NetworkConfig, deploy
 from .protocols import (
-    ProtocolKind,
-    Teen,
+    Protocol,
     elect_cluster_heads,
     form_clusters,
     teen_next_hop,
@@ -68,13 +67,11 @@ class AllNodesDeadError(RuntimeError):
 class SimulationState:
     """One protocol run over one deployed network."""
 
-    def __init__(self, network: Network, protocol: ProtocolKind, seed: int):
+    def __init__(self, network: Network, protocol: Protocol, seed: int):
         self.network = network
-        self.config = network.config
         self.protocol = protocol
         self.rng = random.Random(f"protocol:{seed}")
         self.round = 0
-        self.cumulative_packets_to_bs = 0
         self._round_debit = 0.0
 
     def run_round(self) -> RoundMetrics:
@@ -85,8 +82,8 @@ class SimulationState:
         CH hears its members' reports, pays for aggregation, hears any
         relayed packets, then sends.
         """
-        cfg = self.config
         net = self.network
+        cfg = net.config
         residual = net.residual
         alive_ids = net.alive.nonzero()[0]
         if not len(alive_ids):
@@ -97,7 +94,7 @@ class SimulationState:
         outcome = elect_cluster_heads(net, self.protocol, self.round, self.rng)
         ch_ids = outcome.ch_ids
 
-        is_teen = isinstance(self.protocol, Teen)
+        is_teen = self.protocol.name == "teen"
         if is_teen:
             # every alive node senses each round; the gate decides who reports
             uniform = self.rng.uniform
@@ -161,7 +158,6 @@ class SimulationState:
         alive_count = len(alive_ids) - len(dying)
 
         self._round_debit = math.fsum(debits)
-        self.cumulative_packets_to_bs += packets_to_bs
         metrics = RoundMetrics(
             round=self.round,
             alive=alive_count,
@@ -195,10 +191,9 @@ def _add_relays(sending: np.ndarray, next_hop: np.ndarray, ch_ids: np.ndarray,
     return np.array(marked, dtype=bool)
 
 
-def run_simulation(config: NetworkConfig, protocol: ProtocolKind,
+def run_simulation(config: NetworkConfig, protocol: Protocol,
                    seed: int) -> SimulationResult:
     """Run one protocol to network death or the round cap, deterministically."""
-    config.validate()
     network = deploy(config, seed)
     state = SimulationState(network, protocol, seed)
     n = config.node_count
@@ -225,7 +220,7 @@ def run_simulation(config: NetworkConfig, protocol: ProtocolKind,
         round_debits=round_debits,
         first_death_round=first_death,
         last_death_round=last_death,
-        total_packets_to_bs=state.cumulative_packets_to_bs,
+        total_packets_to_bs=sum(m.packets_to_bs for m in trace),
         censored=censored,
     )
 

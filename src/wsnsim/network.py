@@ -59,7 +59,7 @@ class NetworkConfig:
     teen_sense_max: float = 200.0
     max_rounds: int = 10000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
@@ -115,7 +115,6 @@ class Network:
     def __init__(self, config: NetworkConfig, nodes: list[Node]):
         self.config = config
         self.nodes = nodes
-        self.bs_position = config.bs_position
         pos = np.array([n.position for n in nodes], dtype=float).reshape(-1, 2)
         self.x, self.y = pos.T.copy()
         bs = np.array(config.bs_position, dtype=float)
@@ -158,7 +157,6 @@ def deploy(config: NetworkConfig, seed: int) -> Network:
     is independent of the per-run protocol stream: identical seeds give
     identical topologies no matter which protocol later runs on them.
     """
-    config.validate()
     rng = random.Random(f"deploy:{seed}")
     n = config.node_count
     positions = [(rng.uniform(0.0, config.field_width),
@@ -236,9 +234,7 @@ def config_from_items(items: dict[str, str],
     base = base if base is not None else NetworkConfig()
     if radio_kwargs:
         cfg_kwargs["radio"] = replace(base.radio, **radio_kwargs)
-    cfg = replace(base, **cfg_kwargs)
-    cfg.validate()
-    return cfg
+    return replace(base, **cfg_kwargs)
 
 
 def load_config(path: str, base: Optional[NetworkConfig] = None) -> NetworkConfig:

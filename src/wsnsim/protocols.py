@@ -2,11 +2,12 @@
 
 All four protocols elect CHs the same way: an eligible node draws a uniform
 number and becomes CH when the draw falls below its threshold. They differ
-in how the threshold probability is computed:
+in how they turn the network config's p_opt, advanced fraction m and
+energy factor alpha into the threshold probability:
 
-- LEACH / TEEN use a single probability p for every node.
-- SEP splits p into class-weighted probabilities for normal and advanced
-  nodes so advanced nodes take CH duty more often.
+- LEACH / TEEN use p_opt for every node.
+- SEP splits p_opt into class-weighted probabilities for normal and
+  advanced nodes so advanced nodes take CH duty more often.
 - DEEC scales each node's probability by its residual energy relative to
   the current network average, so depleted nodes skip CH duty.
 
@@ -21,61 +22,32 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
 
 import numpy as np
 
 from .network import Network
 
 
-@dataclass(frozen=True)
-class Leach:
-    p: float = 0.1
-    name = "leach"
-
-
-@dataclass(frozen=True)
-class Teen:
-    p: float = 0.1
-    forwarding: bool = True     # hop CH packets through closer CHs
-    name = "teen"
-
-
-@dataclass(frozen=True)
-class Sep:
-    p_nrm: float
-    p_adv: float
-    name = "sep"
-
-
-@dataclass(frozen=True)
-class Deec:
-    p_opt: float = 0.1
-    m: float = 0.1
-    alpha: float = 1.0
-    name = "deec"
-
-
-ProtocolKind = Union[Leach, Teen, Sep, Deec]
-
 PROTOCOL_NAMES = ("leach", "teen", "sep", "deec")
 
 
-def make_protocol(name: str, config) -> ProtocolKind:
-    """Build a protocol with its parameters derived from the network config."""
-    key = name.strip().lower()
-    if key == "leach":
-        return Leach(p=config.p_opt)
-    if key == "teen":
-        return Teen(p=config.p_opt)
-    if key == "sep":
-        p_nrm, p_adv = sep_probabilities(config.p_opt, config.adv_fraction,
-                                         config.adv_energy_factor)
-        return Sep(p_nrm=p_nrm, p_adv=p_adv)
-    if key == "deec":
-        return Deec(p_opt=config.p_opt, m=config.adv_fraction,
-                    alpha=config.adv_energy_factor)
-    raise ValueError(f"unknown protocol {name!r} (expected one of {PROTOCOL_NAMES})")
+@dataclass(frozen=True)
+class Protocol:
+    """A protocol by name; the network config holds its election parameters."""
+
+    name: str
+    forwarding: bool = True     # TEEN only: hop CH packets through closer CHs
+
+    def __post_init__(self):
+        if self.name not in PROTOCOL_NAMES:
+            raise ValueError(f"unknown protocol {self.name!r} (expected one of {PROTOCOL_NAMES})")
+
+
+def make_protocol(name: str, config=None) -> Protocol:
+    """The protocol named `name`, case and blanks ignored; `config` is
+    accepted for callers but not read, as elections read the network's."""
+    return Protocol(name.strip().lower())
 
 
 @dataclass
@@ -120,6 +92,7 @@ def leach_threshold(p, round_index: int, eligible):
     return np.minimum(1.0, np.where(eligible, p / (1.0 - p * r_mod), 0.0))
 
 
+@lru_cache(maxsize=None)
 def sep_probabilities(p_opt: float, m: float, alpha: float) -> tuple[float, float]:
     """Class-weighted CH probabilities (p_nrm, p_adv).
 
@@ -171,23 +144,22 @@ def deec_reference_weight(alpha_values: list[float], p_opt: float) -> list[float
     return [p_opt * n * (1.0 + a) / (n + total) for a in alpha_values]
 
 
-def _election_probability(network: Network, protocol: ProtocolKind,
+def _election_probability(network: Network, protocol: Protocol,
                           ids: np.ndarray) -> np.ndarray:
     """Each listed node's election probability p, used for threshold and epoch."""
-    if isinstance(protocol, (Leach, Teen)):
-        return np.full(len(ids), protocol.p)
-    if isinstance(protocol, Sep):
+    cfg = network.config
+    if protocol.name == "sep":
+        p_nrm, p_adv = sep_probabilities(cfg.p_opt, cfg.adv_fraction, cfg.adv_energy_factor)
         # a p above 1 means a one-round epoch and a threshold of 1, as p = 1 does
-        return np.where(network.advanced[ids], min(1.0, protocol.p_adv),
-                        min(1.0, protocol.p_nrm))
-    if isinstance(protocol, Deec):
+        return np.where(network.advanced[ids], min(1.0, p_adv), min(1.0, p_nrm))
+    if protocol.name == "deec":
         avg_energy = network_average_energy(network.residual.tolist())
-        return deec_probability(network.residual[ids], network.advanced[ids],
-                                protocol.p_opt, protocol.m, protocol.alpha, avg_energy)
-    raise TypeError(f"unknown protocol kind: {protocol!r}")
+        return deec_probability(network.residual[ids], network.advanced[ids], cfg.p_opt,
+                                cfg.adv_fraction, cfg.adv_energy_factor, avg_energy)
+    return np.full(len(ids), cfg.p_opt)
 
 
-def elect_cluster_heads(network: Network, protocol: ProtocolKind,
+def elect_cluster_heads(network: Network, protocol: Protocol,
                         round_index: int, rng: random.Random) -> ElectionOutcome:
     """Run one round of threshold-based CH election.
 

@@ -31,7 +31,7 @@ from wsnsim.lifetime_bound import (
 from wsnsim.metrics import network_lifetime, run_metrics, stability_period
 from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import (
-    Teen,
+    Protocol,
     deec_reference_weight,
     leach_threshold,
     make_protocol,
@@ -262,8 +262,8 @@ def test_criterion_9_teen_reduction(sweep):
     failures = []
     reduced_cfg = replace(cfg, teen_hard_threshold=cfg.teen_sense_min,
                           teen_soft_threshold=0.0)
-    reduced = [run_simulation(reduced_cfg, Teen(p=reduced_cfg.p_opt, forwarding=False),
-                              seed) for seed in SEEDS]
+    reduced = [run_simulation(reduced_cfg, Protocol("teen", forwarding=False), seed)
+               for seed in SEEDS]
     teen_mean = statistics.fmean(
         network_lifetime(r.trace, r.n_nodes) for r in reduced)
     leach_mean = mean_metric(results["leach"], "network_lifetime")

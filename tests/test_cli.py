@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wsnsim.cli import main, parse_protocols, parse_seeds
+from wsnsim.protocols import Protocol
 from wsnsim.lifetime_bound import BoundInstance, instance_to_text
 
 
@@ -20,7 +21,7 @@ def test_parse_seeds_forms():
 
 
 def test_parse_protocols_rejects_unknown():
-    assert parse_protocols("leach,TEEN") == ["leach", "teen"]
+    assert parse_protocols("leach,TEEN") == [Protocol("leach"), Protocol("teen")]
     with pytest.raises(ValueError):
         parse_protocols("leach,xyz")
 
@@ -241,4 +242,13 @@ def test_non_finite_override_rejected_before_any_file(tmp_path, capsys):
     code = run_cli("run", "--override", "initial_energy=nan", "--out", str(out))
     assert code == 2
     assert "initial_energy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unknown_protocol_rejected_before_any_file(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run_cli(command, "--protocol", "leach,Pegasis", "--seeds", "1", "--out", str(out))
+    assert code == 2
+    assert "unknown protocol 'pegasis'" in capsys.readouterr().err
     assert not out.exists()

@@ -13,7 +13,7 @@ from wsnsim.engine import (
     write_trace_csv,
 )
 from wsnsim.network import NORMAL, Network, NetworkConfig, Node, deploy
-from wsnsim.protocols import Leach, Teen, make_protocol
+from wsnsim.protocols import Protocol, make_protocol
 
 
 def make_network(positions, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
@@ -41,9 +41,9 @@ class FixedRng:
 def test_single_node_ch_round_debit():
     # lone node at the BS position, forced CH by p=1: pays aggregation of
     # its own report plus a zero-distance transmission
-    net = make_network([(50.0, 50.0)])
+    net = make_network([(50.0, 50.0)], p_opt=1.0)
     radio = net.config.radio
-    state = SimulationState(net, Leach(p=1.0), seed=1)
+    state = SimulationState(net, Protocol("leach"), seed=1)
     metrics = state.run_round()
     expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 0.0)
     assert expected == pytest.approx(2.2e-4, rel=1e-12)
@@ -56,7 +56,7 @@ def test_single_node_ch_round_debit():
 def test_fallback_round_sends_direct_to_bs():
     net = make_network([(40.0, 50.0), (80.0, 50.0)])
     radio = net.config.radio
-    state = SimulationState(net, Leach(p=0.1), seed=1)
+    state = SimulationState(net, Protocol("leach"), seed=1)
     state.rng = FixedRng(draw=0.99)  # above every threshold: no CH
     metrics = state.run_round()
     assert metrics.ch_count == 0
@@ -69,7 +69,7 @@ def test_fallback_round_sends_direct_to_bs():
 def test_teen_silent_round_sends_nothing():
     # all nodes become CH (draw 0) but nobody crosses the hard threshold
     net = make_network([(10.0, 10.0), (20.0, 20.0), (30.0, 30.0)])
-    state = SimulationState(net, Teen(p=0.1), seed=1)
+    state = SimulationState(net, Protocol("teen"), seed=1)
     state.rng = FixedRng(draw=0.0, sensed=50.0)  # sensed < hard threshold 100
     metrics = state.run_round()
     assert metrics.ch_count == 3
@@ -83,7 +83,7 @@ def test_teen_forwarding_merges_packets():
     # BS sees exactly one merged packet
     net = make_network([(0.0, 50.0), (20.0, 50.0), (40.0, 50.0)], bs=(50.0, 50.0))
     radio = net.config.radio
-    state = SimulationState(net, Teen(p=0.1), seed=1)
+    state = SimulationState(net, Protocol("teen"), seed=1)
     state.rng = FixedRng(draw=0.0, sensed=150.0)  # everyone is CH, everyone senses
     metrics = state.run_round()
     assert metrics.ch_count == 3
@@ -101,7 +101,7 @@ def test_teen_forwarding_merges_packets():
 
 def test_teen_forwarding_disabled_goes_direct():
     net = make_network([(0.0, 50.0), (20.0, 50.0), (40.0, 50.0)], bs=(50.0, 50.0))
-    state = SimulationState(net, Teen(p=0.1, forwarding=False), seed=1)
+    state = SimulationState(net, Protocol("teen", forwarding=False), seed=1)
     state.rng = FixedRng(draw=0.0, sensed=150.0)
     metrics = state.run_round()
     assert metrics.packets_to_bs == 3
@@ -113,7 +113,7 @@ def test_member_and_ch_debits_add_up():
     # nodes, draw 0 elects both as CHs; no members remain
     net = make_network([(45.0, 50.0), (55.0, 50.0)])
     radio = net.config.radio
-    state = SimulationState(net, Leach(p=0.1), seed=1)
+    state = SimulationState(net, Protocol("leach"), seed=1)
     state.rng = FixedRng(draw=0.0)
     state.run_round()
     expected = 2 * aggregation_energy(radio, 4000, 1) + 2 * tx_energy(radio, 4000, 5.0)
@@ -121,17 +121,17 @@ def test_member_and_ch_debits_add_up():
 
 
 def test_run_round_requires_alive_nodes():
-    net = make_network([(10.0, 10.0)])
+    net = make_network([(10.0, 10.0)], p_opt=0.5)
     net.alive[0] = False
     net.residual[0] = 0.0
-    state = SimulationState(net, Leach(p=0.5), seed=1)
+    state = SimulationState(net, Protocol("leach"), seed=1)
     with pytest.raises(AllNodesDeadError):
         state.run_round()
 
 
 def test_zero_max_rounds_gives_empty_trace():
     cfg = NetworkConfig(node_count=4, max_rounds=0)
-    result = run_simulation(cfg, Leach(p=0.1), seed=1)
+    result = run_simulation(cfg, Protocol("leach"), seed=1)
     assert result.trace == []
     assert result.first_death_round is None
 
@@ -174,7 +174,7 @@ def test_dead_nodes_stay_dead_and_at_zero():
     cfg = NetworkConfig(node_count=15, initial_energy=0.01, max_rounds=400,
                         adv_fraction=0.0)
     network = deploy(cfg, seed=6)
-    state = SimulationState(network, Leach(p=0.1), seed=6)
+    state = SimulationState(network, Protocol("leach"), seed=6)
     died_at = {}
     for r in range(400):
         alive_before = set(np.flatnonzero(network.alive).tolist())

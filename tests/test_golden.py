@@ -16,7 +16,7 @@ import pytest
 
 from wsnsim.engine import run_simulation, summary_dict, write_trace_csv
 from wsnsim.network import NetworkConfig
-from wsnsim.protocols import Teen, make_protocol
+from wsnsim.protocols import Protocol, make_protocol
 
 CONFIGS = {
     "small": NetworkConfig(node_count=30, initial_energy=0.02),
@@ -61,6 +61,6 @@ def test_small_config_reaches_the_rare_paths():
         result = run_simulation(cfg, make_protocol(name, cfg), 1)
         assert result.last_death_round is not None
         assert any(m.ch_count == 0 for m in result.trace)
-    forwarded = run_simulation(cfg, Teen(p=cfg.p_opt), 1)
-    direct = run_simulation(cfg, Teen(p=cfg.p_opt, forwarding=False), 1)
+    forwarded = run_simulation(cfg, Protocol("teen"), 1)
+    direct = run_simulation(cfg, Protocol("teen", forwarding=False), 1)
     assert output_digest(forwarded) != output_digest(direct)

@@ -21,7 +21,7 @@ from wsnsim.lifetime_bound import (
 from wsnsim.metrics import network_lifetime
 from wsnsim.network import NORMAL, Network, NetworkConfig, Node, deploy
 from wsnsim.engine import run_simulation
-from wsnsim.protocols import Leach
+from wsnsim.protocols import make_protocol
 
 
 def full_coverage(n, z, m):
@@ -295,7 +295,7 @@ def test_simulated_lifetime_never_exceeds_bound():
     for seed in range(1, 9):
         cfg = NetworkConfig(node_count=3, initial_energy=4.1 * packet_floor,
                             adv_fraction=0.0, max_rounds=64)
-        result = run_simulation(cfg, Leach(p=0.1), seed=seed)
+        result = run_simulation(cfg, make_protocol("leach", cfg), seed=seed)
         assert not result.censored
         lifetime = network_lifetime(result.trace, 3)
         instance = bound_for_simulated_network(deploy(cfg, seed))

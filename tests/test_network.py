@@ -99,7 +99,7 @@ def test_precomputed_geometry_matches_distance():
             assert block[a, b] == pytest.approx(
                 distance(net.nodes[a].position, net.nodes[b].position), abs=1e-12)
         assert net.dist_to_bs[a] == pytest.approx(
-            distance(net.nodes[a].position, net.bs_position), abs=1e-12)
+            distance(net.nodes[a].position, net.config.bs_position), abs=1e-12)
 
 
 def test_topology_csv_shape():
@@ -173,11 +173,11 @@ def test_config_energy_unit_suffixes():
 
 def test_config_validation_errors():
     with pytest.raises(ValueError):
-        NetworkConfig(p_opt=0.0).validate()
+        NetworkConfig(p_opt=0.0)
     with pytest.raises(ValueError):
-        NetworkConfig(teen_hard_threshold=300.0).validate()
+        NetworkConfig(teen_hard_threshold=300.0)
     with pytest.raises(ValueError):
-        NetworkConfig(initial_energy=-1.0).validate()
+        NetworkConfig(initial_energy=-1.0)
 
 
 FLOAT_FIELDS = ("field_width", "field_height", "initial_energy", "p_opt", "adv_fraction",
@@ -190,7 +190,7 @@ FLOAT_FIELDS = ("field_width", "field_height", "initial_energy", "p_opt", "adv_f
 def test_config_rejects_non_finite_values(name, value):
     bad = (value, 50.0) if name == "bs_position" else value
     with pytest.raises(ValueError, match=name):
-        replace(NetworkConfig(), **{name: bad}).validate()
+        replace(NetworkConfig(), **{name: bad})
 
 
 def test_nan_energy_is_rejected_before_a_run():

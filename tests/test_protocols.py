@@ -2,15 +2,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, Node, deploy
 from wsnsim.protocols import (
-    Deec,
-    Leach,
-    Sep,
-    Teen,
+    Protocol,
     deec_probability,
     deec_reference_weight,
     elect_cluster_heads,
@@ -25,8 +22,8 @@ from wsnsim.protocols import (
 )
 
 
-def make_network(positions, classes=None, energy=0.5, bs=(50.0, 50.0)):
-    cfg = NetworkConfig(node_count=len(positions), bs_position=bs)
+def make_network(positions, classes=None, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
+    cfg = NetworkConfig(node_count=len(positions), bs_position=bs, **cfg_kwargs)
     classes = classes or [NORMAL] * len(positions)
     nodes = [Node(id=i, position=p, node_class=c, initial_energy=energy)
              for i, (p, c) in enumerate(zip(positions, classes))]
@@ -79,24 +76,24 @@ def test_sep_weighted_mean_identity(p_opt, m, alpha):
 
 
 def sep_network():
-    """Nodes 0, 1 normal and 2, 3 advanced, with SEP's p_nrm = 1/11, p_adv = 2/11."""
-    net = make_network([(float(i), 0.0) for i in range(4)],
-                       classes=[NORMAL, NORMAL, ADVANCED, ADVANCED])
-    return net, Sep(*sep_probabilities(0.1, 0.1, 1.0))
+    """Nodes 0, 1 normal and 2, 3 advanced; the default config gives SEP
+    p_nrm = 1/11 and p_adv = 2/11."""
+    return make_network([(float(i), 0.0) for i in range(4)],
+                        classes=[NORMAL, NORMAL, ADVANCED, ADVANCED])
 
 
 def test_sep_threshold_normal_epoch_start():
-    net, protocol = sep_network()
-    outcome = elect_cluster_heads(net, protocol, 0, random.Random(0))
+    net = sep_network()
+    outcome = elect_cluster_heads(net, Protocol("sep"), 0, random.Random(0))
     normal = outcome.candidates < 2
     assert outcome.candidates[normal].tolist() == [0, 1]
-    assert outcome.thresholds[normal] == pytest.approx([protocol.p_nrm] * 2, rel=1e-12)
+    assert outcome.thresholds[normal] == pytest.approx([1.0 / 11.0] * 2, rel=1e-12)
 
 
 def test_sep_threshold_advanced_mid_epoch():
-    net, protocol = sep_network()
-    assert epoch_length(protocol.p_adv) == 6
-    outcome = elect_cluster_heads(net, protocol, 4, random.Random(0))
+    net = sep_network()
+    assert epoch_length(2.0 / 11.0) == 6
+    outcome = elect_cluster_heads(net, Protocol("sep"), 4, random.Random(0))
     advanced = outcome.candidates >= 2
     assert outcome.candidates[advanced].tolist() == [2, 3]
     # r mod 6 == 4: p_adv / (1 - 4*p_adv) == 2/3
@@ -104,10 +101,10 @@ def test_sep_threshold_advanced_mid_epoch():
 
 
 def test_sep_threshold_ineligible():
-    net, protocol = sep_network()
+    net = sep_network()
     net.eligible[[1, 3]] = False
     # round 3 refills neither class's eligibility (epochs of 11 and 6 rounds)
-    outcome = elect_cluster_heads(net, protocol, 3, random.Random(0))
+    outcome = elect_cluster_heads(net, Protocol("sep"), 3, random.Random(0))
     assert outcome.candidates.tolist() == [0, 2]
     assert not np.isin([1, 3], outcome.ch_ids).any()
 
@@ -188,31 +185,31 @@ def test_deec_reference_weight_preserves_mean(alphas, p_opt):
 # --- election -------------------------------------------------------------
 
 def test_elect_all_when_p_is_one():
-    net = deploy(NetworkConfig(node_count=10), seed=1)
-    outcome = elect_cluster_heads(net, Leach(p=1.0), 0, random.Random(0))
+    net = deploy(NetworkConfig(node_count=10, p_opt=1.0), seed=1)
+    outcome = elect_cluster_heads(net, Protocol("leach"), 0, random.Random(0))
     assert sorted(outcome.ch_ids) == list(range(10))
 
 
 def test_elect_all_at_epoch_end():
     net = deploy(NetworkConfig(node_count=10), seed=1)
-    outcome = elect_cluster_heads(net, Leach(p=0.1), 9, random.Random(0))
+    outcome = elect_cluster_heads(net, Protocol("leach"), 9, random.Random(0))
     assert sorted(outcome.ch_ids) == list(range(10))
     assert outcome.candidates.tolist() == list(range(10))
     assert all(outcome.thresholds == 1.0)
 
 
 def test_dead_nodes_never_elected():
-    net = deploy(NetworkConfig(node_count=5), seed=1)
+    net = deploy(NetworkConfig(node_count=5, p_opt=1.0), seed=1)
     net.alive[2] = False
     net.residual[2] = 0.0
-    outcome = elect_cluster_heads(net, Leach(p=1.0), 0, random.Random(0))
+    outcome = elect_cluster_heads(net, Protocol("leach"), 0, random.Random(0))
     assert 2 not in outcome.ch_ids
     assert 2 not in outcome.candidates
 
 
 def test_elected_draw_below_threshold():
-    net = deploy(NetworkConfig(node_count=30), seed=4)
-    outcome = elect_cluster_heads(net, Leach(p=0.3), 2, random.Random(7))
+    net = deploy(NetworkConfig(node_count=30, p_opt=0.3), seed=4)
+    outcome = elect_cluster_heads(net, Protocol("leach"), 2, random.Random(7))
     elected = np.isin(outcome.candidates, outcome.ch_ids)
     assert all(outcome.draws[elected] < outcome.thresholds[elected])
 
@@ -222,7 +219,7 @@ def test_each_node_elected_exactly_once_per_epoch():
     rng = random.Random(5)
     elected = {n.id: 0 for n in net.nodes}
     for r in range(10):
-        outcome = elect_cluster_heads(net, Leach(p=0.1), r, rng)
+        outcome = elect_cluster_heads(net, Protocol("leach"), r, rng)
         for ch in outcome.ch_ids:
             elected[ch] += 1
     # epoch of 10 rounds at p=0.1: the ramp guarantees one term each
@@ -231,24 +228,23 @@ def test_each_node_elected_exactly_once_per_epoch():
 
 def test_sep_election_uses_class_epochs():
     positions = [(float(i), 0.0) for i in range(4)]
-    net = make_network(positions, classes=[NORMAL, NORMAL, ADVANCED, ADVANCED])
-    protocol = Sep(*sep_probabilities(0.1, 0.5, 1.0))
+    net = make_network(positions, classes=[NORMAL, NORMAL, ADVANCED, ADVANCED],
+                       adv_fraction=0.5)
     rng = random.Random(3)
     seen = set()
     for r in range(12):
-        seen.update(elect_cluster_heads(net, protocol, r, rng).ch_ids)
+        seen.update(elect_cluster_heads(net, Protocol("sep"), r, rng).ch_ids)
     assert seen == {0, 1, 2, 3}
 
 
 def test_deec_election_prefers_energetic_nodes():
     positions = [(float(i), 0.0) for i in range(10)]
-    net = make_network(positions)
+    net = make_network(positions, adv_fraction=0.0, adv_energy_factor=0.0)
     net.residual[:5] = 0.05   # nearly drained
-    protocol = Deec(p_opt=0.1, m=0.0, alpha=0.0)
     rng = random.Random(1)
     counts = [0] * 10
     for r in range(200):
-        for ch in elect_cluster_heads(net, protocol, r, rng).ch_ids:
+        for ch in elect_cluster_heads(net, Protocol("deec"), r, rng).ch_ids:
             counts[ch] += 1
     assert sum(counts[5:]) > sum(counts[:5])
 
@@ -366,13 +362,38 @@ def test_teen_next_hop_matches_pairwise_search(cells):
         assert hop_dist[ch] == (best_d if best >= 0 else net.dist_to_bs[ch])
 
 
-def test_make_protocol_factory():
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=10.0),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=10**6))
+def test_round_zero_thresholds_follow_the_config(p_opt, m, alpha, n, seed):
+    # every node is a candidate at round 0, where the threshold is p itself
+    cfg = NetworkConfig(node_count=n, p_opt=p_opt, adv_fraction=m, adv_energy_factor=alpha)
+    net = deploy(cfg, seed)
+    adv = net.advanced
+    energy = np.where(adv, cfg.initial_energy * (1.0 + alpha), cfg.initial_energy)
+    avg = cfg.initial_energy * (1.0 + alpha * adv.sum() / n)
+    deec = p_opt * energy / ((1.0 + alpha * m) * avg) * np.where(adv, 1.0 + alpha, 1.0)
+    p_nrm = p_opt / (1.0 + alpha * m)
+    expected = {
+        "leach": np.full(n, p_opt),
+        "teen": np.full(n, p_opt),
+        "sep": np.where(adv, p_nrm * (1.0 + alpha), p_nrm),
+        "deec": deec,
+    }
+    for name, p in expected.items():
+        outcome = elect_cluster_heads(deploy(cfg, seed), make_protocol(name, cfg), 0,
+                                      random.Random(seed))
+        assert outcome.candidates.tolist() == list(range(n))
+        assert outcome.thresholds == pytest.approx(np.minimum(1.0, p), rel=1e-9)
+
+
+def test_make_protocol_rejects_unknown_names():
     cfg = NetworkConfig()
-    assert make_protocol("leach", cfg) == Leach(p=0.1)
-    assert make_protocol("teen", cfg) == Teen(p=0.1)
-    sep = make_protocol("sep", cfg)
-    assert isinstance(sep, Sep)
-    assert (1 - 0.1) * sep.p_nrm + 0.1 * sep.p_adv == pytest.approx(0.1, rel=1e-12)
-    assert make_protocol("deec", cfg) == Deec(p_opt=0.1, m=0.1, alpha=1.0)
-    with pytest.raises(ValueError):
+    assert make_protocol(" TEEN ", cfg) == Protocol("teen")
+    with pytest.raises(ValueError, match="unknown protocol 'pegasis'"):
         make_protocol("pegasis", cfg)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        Protocol("LEACH")
