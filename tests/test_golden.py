@@ -5,7 +5,9 @@ order, the order of a node's float operations, a numpy scalar leaking into
 a formatted field) changes one of these digests. The small config runs to
 network death through no-CH fallback rounds and TEEN forwarding; the
 N = 400 cases exercise many CHs per round. The SEP case has p_adv > 1,
-where advanced nodes are elected with certainty every round.
+where advanced nodes are elected with certainty every round. The
+teen-floor case senses over [20, 180) rather than from 0, so TEEN's
+readings depend on the floor as well as the span.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ CONFIGS = {
     "large": NetworkConfig(node_count=400, max_rounds=20),
     "sep-certain": NetworkConfig(node_count=30, initial_energy=0.02, p_opt=0.5,
                                  adv_fraction=0.2, adv_energy_factor=5.0),
+    "teen-floor": NetworkConfig(node_count=30, initial_energy=0.02, teen_sense_min=20.0,
+                                teen_sense_max=180.0, teen_hard_threshold=90.0),
 }
 
 GOLDEN = {
@@ -38,6 +42,7 @@ GOLDEN = {
     ("large", "teen", 1): "1ea44ab7c153689edf58214e4629eefbe194a3489e4befbd6fea750ab354d18c",
     ("large", "deec", 1): "c8347630e613708dc6491c7a3779f04d1db2a185f09d29bd2328a668d3351609",
     ("sep-certain", "sep", 1): "f0826c436f1fa11c2c373386903e4813d48f667e2917fd4d38a6f0fda22b093e",
+    ("teen-floor", "teen", 1): "9ca57f77b138d1e2ecaf8c4832f3abb670fb56255b1b2bf8a7850e704692a7f9",
 }
 
 
