@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from collections import Counter
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -29,8 +30,14 @@ from .network import NetworkConfig, config_as_items, config_from_items, deploy, 
 from .protocols import Protocol, make_protocol
 
 
+def _reject_repeats(kind: str, items: list) -> None:
+    repeats = [item for item, count in Counter(items).items() if count > 1]
+    if repeats:
+        raise ValueError(f"{kind} {repeats[0]} given more than once")
+
+
 def parse_seeds(spec: str) -> list[int]:
-    """Seed list syntax: `7`, `1,2,5`, or an inclusive range `1..20`."""
+    """Seed list syntax: `7`, `1,2,5`, or an inclusive range `1..20`; no seed twice."""
     seeds: list[int] = []
     for part in spec.split(","):
         part = part.strip()
@@ -45,6 +52,7 @@ def parse_seeds(spec: str) -> list[int]:
             seeds.append(int(part))
     if not seeds:
         raise ValueError(f"no seeds in {spec!r}")
+    _reject_repeats("seed", seeds)
     return seeds
 
 
@@ -52,6 +60,7 @@ def parse_protocols(spec: str) -> list[Protocol]:
     protocols = [make_protocol(name) for name in spec.split(",") if name.strip()]
     if not protocols:
         raise ValueError("no protocols given")
+    _reject_repeats("protocol", [p.name for p in protocols])
     return protocols
 
 
@@ -164,7 +173,7 @@ def cmd_bound(args) -> int:
         fh.write(instance_to_text(instance))
 
     if args.check_sim:
-        result = run_simulation(config, make_protocol("leach", config), args.seed)
+        result = run_simulation(config, Protocol("leach"), args.seed)
         if result.censored:
             print("error: simulation censored at max_rounds; raise it to "
                   "compare against the bound", file=sys.stderr)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +30,6 @@ class RadioParams:
                 raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
 
-@lru_cache(maxsize=None)
 def crossover_distance(params: RadioParams) -> float:
     """Distance at which the free-space and multipath amplifier costs meet."""
     return math.sqrt(params.e_fs / params.e_mp)

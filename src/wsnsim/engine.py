@@ -72,7 +72,7 @@ class SimulationState:
         self.protocol = protocol
         self.rng = random.Random(f"protocol:{seed}")
         self.round = 0
-        self._round_debit = 0.0
+        self.last_round_debit = 0.0
 
     def run_round(self) -> RoundMetrics:
         """Advance the simulation by one round and record its metrics.
@@ -83,28 +83,19 @@ class SimulationState:
         relayed packets, then sends.
         """
         net = self.network
-        cfg = net.config
         residual = net.residual
         alive_ids = net.alive.nonzero()[0]
         if not len(alive_ids):
             raise AllNodesDeadError("cannot run a round with no alive nodes")
-        radio, bits = cfg.radio, cfg.packet_bits
+        radio, bits = net.config.radio, net.config.packet_bits
         elec = rx_energy(radio, bits)
 
         outcome = elect_cluster_heads(net, self.protocol, self.round, self.rng)
         ch_ids = outcome.ch_ids
 
         is_teen = self.protocol.name == "teen"
-        if is_teen:
-            # every alive node senses each round; the gate decides who reports
-            uniform = self.rng.uniform
-            lo, hi = cfg.teen_sense_min, cfg.teen_sense_max
-            sensed = np.array([uniform(lo, hi) for _ in range(len(alive_ids))])
-            reporting = np.zeros(len(residual), dtype=bool)
-            reporting[alive_ids] = teen_should_transmit(
-                net, alive_ids, sensed, cfg.teen_hard_threshold, cfg.teen_soft_threshold)
-        else:
-            reporting = net.alive
+        # every alive node has data each round, except where TEEN's gate holds it back
+        reporting = teen_should_transmit(net, alive_ids, self.rng) if is_teen else net.alive
 
         if len(ch_ids):
             # members report to their CH; CHs fuse what they heard (plus
@@ -117,9 +108,7 @@ class SimulationState:
             fused = np.bincount(heads, minlength=len(residual))[ch_ids] + reporting[ch_ids]
             sending = fused > 0
             if is_teen and self.protocol.forwarding:
-                next_hop, hop_dist = teen_next_hop(net, ch_ids)
-                if not sending.all():
-                    sending = _add_relays(sending, next_hop, ch_ids, net.dist_to_bs)
+                next_hop, hop_dist, sending = teen_next_hop(net, ch_ids, sending)
             else:
                 next_hop, hop_dist = np.full(len(ch_ids), -1), net.dist_to_bs[ch_ids]
             hops = next_hop[sending]
@@ -139,7 +128,7 @@ class SimulationState:
         else:
             # no CH elected this round: everyone with data reports straight
             # to the base station
-            senders = alive_ids[reporting[alive_ids]]
+            senders = reporting.nonzero()[0]
             distances = net.dist_to_bs[senders]
             packets_to_ch = 0
             packets_to_bs = len(senders)
@@ -157,7 +146,7 @@ class SimulationState:
         net.eligible[dying] = False
         alive_count = len(alive_ids) - len(dying)
 
-        self._round_debit = math.fsum(debits)
+        self.last_round_debit = math.fsum(debits)
         metrics = RoundMetrics(
             round=self.round,
             alive=alive_count,
@@ -169,26 +158,6 @@ class SimulationState:
         )
         self.round += 1
         return metrics
-
-    @property
-    def last_round_debit(self) -> float:
-        return self._round_debit
-
-
-def _add_relays(sending: np.ndarray, next_hop: np.ndarray, ch_ids: np.ndarray,
-                dist_to_bs: np.ndarray) -> np.ndarray:
-    """Mark every CH that relays a packet as sending, even with no data of its own.
-
-    CHs are visited farthest from the BS first, so a relay is marked
-    before its own turn comes.
-    """
-    marked = sending.tolist()
-    hops = next_hop.tolist()
-    slot = np.searchsorted(ch_ids, next_hop).tolist()
-    for k in np.argsort(-dist_to_bs[ch_ids], kind="stable").tolist():
-        if marked[k] and hops[k] >= 0:
-            marked[slot[k]] = True
-    return np.array(marked, dtype=bool)
 
 
 def run_simulation(config: NetworkConfig, protocol: Protocol,

@@ -94,8 +94,6 @@ def aggregate(results: Iterable[SimulationResult]) -> list[SummaryStats]:
         raise ValueError("no results to aggregate")
     out = []
     for protocol, group in groups.items():
-        if not group:
-            raise ValueError(f"empty result group for {protocol!r}")
         per_run = [run_metrics(r) for r in group]
         stats = {name: _mean_std([row[name] for row in per_run])
                  for name in _METRIC_FIELDS}

@@ -135,7 +135,9 @@ def deec_reference_weight(alpha_values: list[float], p_opt: float) -> list[float
     """Multi-level heterogeneity reference probabilities.
 
     Node i gets p_opt * N * (1 + alpha_i) / (N + sum(alpha)); the weights
-    average back to p_opt exactly.
+    average back to p_opt exactly. Elections call `deec_probability`, which
+    divides by the configured (1 + alpha*m): the two agree only when deploy's
+    floor(m*N) advanced nodes are m*N (at N = 25, m = 0.1 they are 1.9% apart).
     """
     n = len(alpha_values)
     if n < 1:
@@ -213,29 +215,37 @@ def form_clusters(network: Network, ch_ids) -> Clusters:
                     distances=block[np.arange(len(members)), nearest])
 
 
-def teen_should_transmit(network: Network, ids: np.ndarray, sensed: np.ndarray,
-                         hard_threshold: float, soft_threshold: float) -> np.ndarray:
-    """Reactive transmission gate over `ids`; records the value each sender reports.
+def teen_should_transmit(network: Network, ids: np.ndarray, rng: random.Random) -> np.ndarray:
+    """TEEN's gate: the mask over all nodes of those that report; records what they send.
 
-    A node reports only when the sensed attribute crosses the hard
+    Each node in `ids` senses once, in id order, lo + (hi - lo) * rng.random()
+    over the config's [teen_sense_min, teen_sense_max), as `Random.uniform`
+    draws it. A node reports only when its reading crosses the hard
     threshold, and then only if it moved by at least the soft threshold
-    since the last report (first crossings, where the last value is NaN,
+    since its last report (first crossings, where the last value is NaN,
     always go out).
     """
+    cfg = network.config
+    draws = np.array([rng.random() for _ in range(len(ids))])
+    sensed = cfg.teen_sense_min + (cfg.teen_sense_max - cfg.teen_sense_min) * draws
     last = network.teen_last_sent[ids]
-    send = (sensed >= hard_threshold) & ~(np.abs(sensed - last) < soft_threshold)
+    send = (sensed >= cfg.teen_hard_threshold) & ~(np.abs(sensed - last) < cfg.teen_soft_threshold)
     network.teen_last_sent[ids[send]] = sensed[send]
-    return send
+    reporting = np.zeros(len(network.alive), dtype=bool)
+    reporting[ids] = send
+    return reporting
 
 
-def teen_next_hop(network: Network, ch_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def teen_next_hop(network: Network, ch_ids: np.ndarray,
+                  sending: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Next hop of each CH packet: the nearest CH strictly closer to the BS, else the BS.
 
-    `ch_ids` must be in ascending order. Returns, per CH, the relay CH's
-    id (-1 when this CH tops its hierarchy and sends straight to the base
-    station) and the distance to that hop. Ties go to the lowest id.
-    Hop-by-hop distance to the BS strictly decreases, so forwarding can
-    never cycle.
+    `ch_ids` must be in ascending order; `sending` marks the CHs with data
+    of their own. Returns, per CH, the relay CH's id (-1 when this CH tops
+    its hierarchy and sends straight to the base station) and the distance
+    to that hop, then `sending` plus every CH that relays a packet. Ties go
+    to the lowest id. Hop-by-hop distance to the BS strictly decreases, so
+    forwarding can never cycle.
     """
     ch_ids = np.asarray(ch_ids)
     block = network.distances(ch_ids, ch_ids)
@@ -244,5 +254,13 @@ def teen_next_hop(network: Network, ch_ids: np.ndarray) -> tuple[np.ndarray, np.
     nearest = block.argmin(axis=1)
     hop_dist = block[np.arange(len(ch_ids)), nearest]
     relays = np.isfinite(hop_dist)
+    if not sending.all():
+        # farthest from the BS first, so a relay is marked before its turn
+        marked = sending.tolist()
+        relay_slot = np.where(relays, nearest, -1).tolist()
+        for k in np.argsort(-to_bs, kind="stable").tolist():
+            if marked[k] and relay_slot[k] >= 0:
+                marked[relay_slot[k]] = True
+        sending = np.array(marked, dtype=bool)
     return (np.where(relays, ch_ids[nearest], -1),
-            np.where(relays, hop_dist, to_bs))
+            np.where(relays, hop_dist, to_bs), sending)

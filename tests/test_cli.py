@@ -20,6 +20,12 @@ def test_parse_seeds_forms():
         parse_seeds(" ")
 
 
+def test_parse_seeds_rejects_repeats():
+    for spec, seed in (("1,1", 1), ("1..3,2", 2), ("4,1..5", 4)):
+        with pytest.raises(ValueError, match=f"seed {seed} given more than once"):
+            parse_seeds(spec)
+
+
 def test_parse_protocols_rejects_unknown():
     assert parse_protocols("leach,TEEN") == [Protocol("leach"), Protocol("teen")]
     with pytest.raises(ValueError):
@@ -251,4 +257,18 @@ def test_unknown_protocol_rejected_before_any_file(tmp_path, capsys, command):
     code = run_cli(command, "--protocol", "leach,Pegasis", "--seeds", "1", "--out", str(out))
     assert code == 2
     assert "unknown protocol 'pegasis'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("protocols,seeds,repeat", [
+    ("leach,teen,LEACH", "1..2", "protocol leach"),
+    ("leach,teen", "1,1", "seed 1"),
+    ("leach,teen", "1..3,2", "seed 2"),
+])
+def test_repeats_rejected_before_any_file(tmp_path, capsys, command, protocols, seeds, repeat):
+    out = tmp_path / "out"
+    code = run_cli(command, "--protocol", protocols, "--seeds", seeds, "--out", str(out))
+    assert code == 2
+    assert f"{repeat} given more than once" in capsys.readouterr().err
     assert not out.exists()

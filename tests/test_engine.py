@@ -24,18 +24,16 @@ def make_network(positions, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
     return Network(cfg, nodes)
 
 
-class FixedRng:
-    """Stand-in PRNG with scripted election draws and sensed values."""
+class ScriptedRng:
+    """Stand-in PRNG whose random() returns `draws` in order, then raises.
 
-    def __init__(self, draw=0.99, sensed=0.0):
-        self.draw = draw
-        self.sensed = sensed
+    A round draws once per election candidate, in id order, and then, for
+    TEEN, once per alive node, in id order; a TEEN reading is
+    sense_min + (sense_max - sense_min) * draw, 200 * draw by default.
+    """
 
-    def random(self):
-        return self.draw
-
-    def uniform(self, lo, hi):
-        return self.sensed
+    def __init__(self, *draws):
+        self.random = iter(draws).__next__
 
 
 def test_single_node_ch_round_debit():
@@ -57,7 +55,7 @@ def test_fallback_round_sends_direct_to_bs():
     net = make_network([(40.0, 50.0), (80.0, 50.0)])
     radio = net.config.radio
     state = SimulationState(net, Protocol("leach"), seed=1)
-    state.rng = FixedRng(draw=0.99)  # above every threshold: no CH
+    state.rng = ScriptedRng(0.99, 0.99)  # above every threshold: no CH
     metrics = state.run_round()
     assert metrics.ch_count == 0
     assert metrics.packets_to_bs == 2
@@ -70,7 +68,7 @@ def test_teen_silent_round_sends_nothing():
     # all nodes become CH (draw 0) but nobody crosses the hard threshold
     net = make_network([(10.0, 10.0), (20.0, 20.0), (30.0, 30.0)])
     state = SimulationState(net, Protocol("teen"), seed=1)
-    state.rng = FixedRng(draw=0.0, sensed=50.0)  # sensed < hard threshold 100
+    state.rng = ScriptedRng(0.0, 0.0, 0.0, 0.25, 0.25, 0.25)  # reading 50 < hard threshold 100
     metrics = state.run_round()
     assert metrics.ch_count == 3
     assert metrics.packets_to_bs == 0
@@ -84,7 +82,7 @@ def test_teen_forwarding_merges_packets():
     net = make_network([(0.0, 50.0), (20.0, 50.0), (40.0, 50.0)], bs=(50.0, 50.0))
     radio = net.config.radio
     state = SimulationState(net, Protocol("teen"), seed=1)
-    state.rng = FixedRng(draw=0.0, sensed=150.0)  # everyone is CH, everyone senses
+    state.rng = ScriptedRng(0.0, 0.0, 0.0, 0.75, 0.75, 0.75)  # all CHs, all read 150
     metrics = state.run_round()
     assert metrics.ch_count == 3
     assert metrics.packets_to_bs == 1
@@ -102,9 +100,30 @@ def test_teen_forwarding_merges_packets():
 def test_teen_forwarding_disabled_goes_direct():
     net = make_network([(0.0, 50.0), (20.0, 50.0), (40.0, 50.0)], bs=(50.0, 50.0))
     state = SimulationState(net, Protocol("teen", forwarding=False), seed=1)
-    state.rng = FixedRng(draw=0.0, sensed=150.0)
+    state.rng = ScriptedRng(0.0, 0.0, 0.0, 0.75, 0.75, 0.75)
     metrics = state.run_round()
     assert metrics.packets_to_bs == 3
+
+
+def test_teen_relays_send_without_data_of_their_own():
+    # chain 0 -> 1 -> 2 -> BS where only CH 0 reads above the hard threshold:
+    # CHs 1 and 2 still send, to carry its packet, and the BS gets one packet
+    net = make_network([(0.0, 50.0), (20.0, 50.0), (40.0, 50.0)], bs=(50.0, 50.0))
+    radio = net.config.radio
+    state = SimulationState(net, Protocol("teen"), seed=1)
+    state.rng = ScriptedRng(0.0, 0.0, 0.0, 0.75, 0.25, 0.25)  # readings 150, 50, 50
+    metrics = state.run_round()
+    assert metrics.ch_count == 3
+    assert metrics.packets_to_bs == 1
+    expected = (
+        aggregation_energy(radio, 4000, 1)  # only CH 0 fuses a report
+        + tx_energy(radio, 4000, 20.0) + rx_energy(radio, 4000)
+        + tx_energy(radio, 4000, 20.0) + rx_energy(radio, 4000)
+        + tx_energy(radio, 4000, 10.0)
+    )
+    assert state.last_round_debit == pytest.approx(expected, rel=1e-12)
+    assert net.teen_last_sent[0] == 150.0
+    assert np.isnan(net.teen_last_sent[1:]).all()
 
 
 def test_member_and_ch_debits_add_up():
@@ -114,7 +133,7 @@ def test_member_and_ch_debits_add_up():
     net = make_network([(45.0, 50.0), (55.0, 50.0)])
     radio = net.config.radio
     state = SimulationState(net, Protocol("leach"), seed=1)
-    state.rng = FixedRng(draw=0.0)
+    state.rng = ScriptedRng(0.0, 0.0)
     state.run_round()
     expected = 2 * aggregation_energy(radio, 4000, 1) + 2 * tx_energy(radio, 4000, 5.0)
     assert state.last_round_debit == pytest.approx(expected, rel=1e-12)

@@ -38,9 +38,10 @@ def test_every_round_keeps_the_invariants(cfg, name, seed):
     hops = []
     next_hop = engine.teen_next_hop
 
-    def recording_next_hop(network, ch_ids):
-        out = next_hop(network, ch_ids)
+    def recording_next_hop(network, ch_ids, sending):
+        out = next_hop(network, ch_ids, sending)
         hops.append((np.array(ch_ids), out[0].copy()))
+        assert (out[2] >= sending).all()
         return out
 
     engine.teen_next_hop = recording_next_hop

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, Node, deploy
@@ -182,6 +182,24 @@ def test_deec_reference_weight_preserves_mean(alphas, p_opt):
     assert sum(weights) / len(weights) == pytest.approx(p_opt, rel=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.data(),
+       st.floats(min_value=1e-3, max_value=0.09),
+       st.floats(min_value=0.0, max_value=10.0),
+       st.integers(min_value=0, max_value=10**6))
+def test_deec_at_average_energy_is_the_reference_weight(n, data, p_opt, alpha, seed):
+    # with m*N advanced nodes deployed, DEEC's weight at the network average
+    # is the multi-level reference weight of the deployed alphas
+    m = data.draw(st.integers(min_value=0, max_value=n)) / n
+    assume(m * n == int(m * n))
+    cfg = NetworkConfig(node_count=n, p_opt=p_opt, adv_fraction=m, adv_energy_factor=alpha)
+    advanced = deploy(cfg, seed).advanced
+    energy = cfg.initial_energy
+    got = deec_probability(energy, advanced, p_opt, m, alpha, avg_energy=energy)
+    want = deec_reference_weight((alpha * advanced).tolist(), p_opt)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 # --- election -------------------------------------------------------------
 
 def test_elect_all_when_p_is_one():
@@ -292,9 +310,19 @@ def test_form_clusters_total_on_alive_non_chs(n, seed):
 
 # --- TEEN mechanics -------------------------------------------------------
 
+class ScriptedRng:
+    """Stand-in PRNG whose random() returns `draws` in order, then raises."""
+
+    def __init__(self, *draws):
+        self.random = iter(draws).__next__
+
+
 def gate(net, sensed):
-    """Node 0's TEEN gate on one sensed value, at hard 100 / soft 2."""
-    return teen_should_transmit(net, np.array([0]), np.array([sensed]), 100.0, 2.0)[0]
+    """Node 0's TEEN gate on one sensed value, at the default hard 100 / soft 2.
+
+    The default sensing range [0, 200) turns a draw u into the reading 200 * u.
+    """
+    return teen_should_transmit(net, np.array([0]), ScriptedRng(sensed / 200.0))[0]
 
 
 def test_teen_gate_first_crossing_transmits():
@@ -316,25 +344,39 @@ def test_teen_gate_blocks_below_hard_threshold():
     assert not gate(net, 90.0)
 
 
+def test_teen_gate_reads_the_config_in_id_order():
+    # readings 20 + 160 * u over ids 1 and 3 only; node 3's 80 misses the
+    # hard threshold of 90, node 1's 100 reports
+    net = make_network([(float(i), 0.0) for i in range(4)], teen_sense_min=20.0,
+                       teen_sense_max=180.0, teen_hard_threshold=90.0)
+    reporting = teen_should_transmit(net, np.array([1, 3]), ScriptedRng(0.5, 0.375))
+    assert reporting.tolist() == [False, True, False, False]
+    assert net.teen_last_sent[1] == 100.0
+    assert np.isnan(net.teen_last_sent[[0, 2, 3]]).all()
+
+
 def test_teen_next_hop_single_ch_goes_to_bs():
     net = make_network([(10.0, 10.0), (20.0, 20.0)])
-    next_hop, hop_dist = teen_next_hop(net, np.array([0]))
+    next_hop, hop_dist, sending = teen_next_hop(net, np.array([0]), np.array([False]))
     assert next_hop.tolist() == [-1]
     assert hop_dist[0] == net.dist_to_bs[0]
+    assert sending.tolist() == [False]
 
 
 def test_teen_next_hop_prefers_near_ch_closer_to_bs():
     # BS at (50,50); ch0 is 40 from BS, ch1 is 10 from BS and 30 from ch0
     net = make_network([(10.0, 50.0), (40.0, 50.0), (90.0, 50.0)])
-    next_hop, hop_dist = teen_next_hop(net, np.array([0, 1]))
+    next_hop, hop_dist, sending = teen_next_hop(net, np.array([0, 1]), np.array([True, False]))
     assert next_hop.tolist() == [1, -1]
     assert hop_dist.tolist() == [30.0, 10.0]
+    assert sending.tolist() == [True, True]   # ch1 relays ch0's packet
 
 
 def test_teen_next_hop_forwarding_is_acyclic():
     net = deploy(NetworkConfig(node_count=40), seed=8)
     ch_ids = np.arange(0, 40, 4)
-    hop_of = dict(zip(ch_ids.tolist(), teen_next_hop(net, ch_ids)[0].tolist()))
+    next_hop = teen_next_hop(net, ch_ids, np.ones(len(ch_ids), dtype=bool))[0]
+    hop_of = dict(zip(ch_ids.tolist(), next_hop.tolist()))
     for ch in ch_ids.tolist():
         hops = 0
         current = ch
@@ -346,12 +388,21 @@ def test_teen_next_hop_forwarding_is_acyclic():
             assert hops <= len(ch_ids)
 
 
-@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=15))
+@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10), st.booleans()),
+                min_size=1, max_size=15))
 def test_teen_next_hop_matches_pairwise_search(cells):
-    # every node a CH, on a 10 m grid so that distance ties are exact
-    net = make_network([(10.0 * i, 10.0 * j) for i, j in cells])
+    # every node a CH, on a 10 m grid so that distance ties are exact; a CH
+    # sends when it has data or lies on the hop chain of one that has
+    net = make_network([(10.0 * i, 10.0 * j) for i, j, _ in cells])
     ch_ids = np.arange(len(cells))
-    next_hop, hop_dist = teen_next_hop(net, ch_ids)
+    has_data = np.array([data for _, _, data in cells])
+    next_hop, hop_dist, sending = teen_next_hop(net, ch_ids, has_data)
+    on_chain = has_data.copy()
+    for ch in has_data.nonzero()[0].tolist():
+        while next_hop[ch] >= 0:
+            ch = next_hop[ch]
+            on_chain[ch] = True
+    assert sending.tolist() == on_chain.tolist()
     block = net.distances(ch_ids, ch_ids)
     for ch in ch_ids.tolist():
         best, best_d = -1, float("inf")
