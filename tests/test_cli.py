@@ -20,12 +20,6 @@ def test_parse_seeds_forms():
         parse_seeds(" ")
 
 
-def test_parse_seeds_rejects_repeats():
-    for spec, seed in (("1,1", 1), ("1..3,2", 2), ("4,1..5", 4)):
-        with pytest.raises(ValueError, match=f"seed {seed} given more than once"):
-            parse_seeds(spec)
-
-
 def test_parse_protocols_rejects_unknown():
     assert parse_protocols("leach,TEEN") == [Protocol("leach"), Protocol("teen")]
     with pytest.raises(ValueError):
