@@ -7,7 +7,11 @@ network death through no-CH fallback rounds and TEEN forwarding; the
 N = 400 cases exercise many CHs per round. The SEP case has p_adv > 1,
 where advanced nodes are elected with certainty every round. The
 teen-floor case senses over [20, 180) rather than from 0, so TEEN's
-readings depend on the floor as well as the span.
+readings depend on the floor as well as the span. The bs-off-field case
+puts the base station 75 m above the field's top edge, so all but one
+node of seed 1 lie beyond the crossover distance: nearly every CH uplink
+and no-CH report takes the multipath branch, and SEP's two class epochs wrap
+under that load.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ CONFIGS = {
                                  adv_fraction=0.2, adv_energy_factor=5.0),
     "teen-floor": NetworkConfig(node_count=30, initial_energy=0.02, teen_sense_min=20.0,
                                 teen_sense_max=180.0, teen_hard_threshold=90.0),
+    "bs-off-field": NetworkConfig(node_count=30, initial_energy=0.02, bs_position=(50.0, 175.0)),
 }
 
 GOLDEN = {
@@ -43,6 +48,8 @@ GOLDEN = {
     ("large", "deec", 1): "c8347630e613708dc6491c7a3779f04d1db2a185f09d29bd2328a668d3351609",
     ("sep-certain", "sep", 1): "f0826c436f1fa11c2c373386903e4813d48f667e2917fd4d38a6f0fda22b093e",
     ("teen-floor", "teen", 1): "9ca57f77b138d1e2ecaf8c4832f3abb670fb56255b1b2bf8a7850e704692a7f9",
+    ("bs-off-field", "leach", 1): "691c3ed548162fb6012352ad3cae8ee1cce3ed49c1ac8760fbd8cdf46c3cf366",
+    ("bs-off-field", "sep", 1): "eba262af817c45d4d4ef06ae4eb622646e45dd66fa2dcdb8ea4bf4cfa79885e7",
 }
 
 
