@@ -45,8 +45,10 @@ def tx_energy(params: RadioParams, bits: int, distance):
     """
     d = np.asarray(distance, dtype=float)
     d_sq = d * d
-    amp = np.where(d < crossover_distance(params), params.e_fs * d_sq,
-                   params.e_mp * d_sq * d_sq)
+    amp = params.e_fs * d_sq
+    near = d < crossover_distance(params)
+    if not near.all():
+        amp = np.where(near, amp, params.e_mp * d_sq * d_sq)
     energy = bits * params.e_elec + bits * amp
     return energy if energy.ndim else float(energy)
 

@@ -103,27 +103,29 @@ class SimulationState:
             # to the BS, or for TEEN to the next CH in the hierarchy, which
             # folds it into its own packet
             clusters = form_clusters(net, ch_ids)
-            reports = reporting[clusters.members]
+            # outside TEEN every member reports and every CH sends
+            reports = reporting[clusters.members] if is_teen else slice(None)
             heads = clusters.heads[reports]
             fused = np.bincount(heads, minlength=len(residual))[ch_ids] + reporting[ch_ids]
-            sending = fused > 0
+            sending = fused > 0 if is_teen else slice(None)
             if is_teen and self.protocol.forwarding:
                 next_hop, hop_dist, sending = teen_next_hop(net, ch_ids, sending)
+                hops = next_hop[sending]
+                relayed = hops[hops >= 0]
             else:
-                next_hop, hop_dist = np.full(len(ch_ids), -1), net.dist_to_bs[ch_ids]
-            hops = next_hop[sending]
-            relayed = hops[hops >= 0]
+                hop_dist, relayed = net.dist_to_bs[ch_ids], ()
 
             # a CH hears its members' reports, pays for aggregation, hears
             # the packets it relays, then sends
             np.subtract.at(residual, heads, elec)
             aggregation = aggregation_energy(radio, bits, fused)
             residual[ch_ids] -= aggregation
-            np.subtract.at(residual, relayed, elec)
+            if len(relayed):
+                np.subtract.at(residual, relayed, elec)
             senders = np.concatenate((clusters.members[reports], ch_ids[sending]))
             distances = np.concatenate((clusters.distances[reports], hop_dist[sending]))
             packets_to_ch = len(heads)
-            packets_to_bs = len(hops) - len(relayed)
+            packets_to_bs = len(senders) - packets_to_ch - len(relayed)
             debits = [elec * (packets_to_ch + len(relayed)), math.fsum(aggregation.tolist())]
         else:
             # no CH elected this round: everyone with data reports straight
@@ -140,10 +142,11 @@ class SimulationState:
         # deaths are assessed once the round completes; overshoot from a
         # node's final transmissions is refunded so the ledger stays exact
         dying = alive_ids[residual[alive_ids] <= 0.0]
-        debits += residual[dying].tolist()
-        residual[dying] = 0.0
-        net.alive[dying] = False
-        net.eligible[dying] = False
+        if len(dying):
+            debits += residual[dying].tolist()
+            residual[dying] = 0.0
+            net.alive[dying] = False
+            net.eligible[dying] = False
         alive_count = len(alive_ids) - len(dying)
 
         self.last_round_debit = math.fsum(debits)

@@ -131,8 +131,8 @@ class Network:
         Entry [i, j] is sqrt(dx^2 + dy^2) with dx = x[rows[i]] - x[cols[j]]:
         the same float operations, so the same bits, for every query.
         """
-        dx = np.subtract.outer(self.x[rows], self.x[cols])
-        dy = np.subtract.outer(self.y[rows], self.y[cols])
+        dx = self.x[rows][:, None] - self.x[cols]
+        dy = self.y[rows][:, None] - self.y[cols]
         dx *= dx
         dy *= dy
         dx += dy

@@ -88,8 +88,19 @@ def leach_threshold(p, round_index: int, eligible):
     elected with certainty by the epoch's final round. Clamped to 1.
     Array-capable in `p` and `eligible`.
     """
-    r_mod = round_index % epoch_length(p)
-    return np.minimum(1.0, np.where(eligible, p / (1.0 - p * r_mod), 0.0))
+    return np.where(eligible, _ramp(p, round_index % epoch_length(p)), 0.0)
+
+
+def _ramp(p, r_mod):
+    """T(n) of an eligible node `r_mod` rounds into its epoch, clamped to 1."""
+    return np.minimum(1.0, p / (1.0 - p * r_mod))
+
+
+@lru_cache(maxsize=4096)
+def _class_round(p: float, r_mod: int) -> tuple[bool, float]:
+    """Whether a class electing with probability p refills its eligibility
+    `r_mod` rounds into its epoch, and its threshold there."""
+    return r_mod == 0, float(_ramp(p, r_mod))
 
 
 @lru_cache(maxsize=None)
@@ -146,19 +157,14 @@ def deec_reference_weight(alpha_values: list[float], p_opt: float) -> list[float
     return [p_opt * n * (1.0 + a) / (n + total) for a in alpha_values]
 
 
-def _election_probability(network: Network, protocol: Protocol,
-                          ids: np.ndarray) -> np.ndarray:
-    """Each listed node's election probability p, used for threshold and epoch."""
-    cfg = network.config
-    if protocol.name == "sep":
-        p_nrm, p_adv = sep_probabilities(cfg.p_opt, cfg.adv_fraction, cfg.adv_energy_factor)
+@lru_cache(maxsize=256)
+def _classes(name: str, p_opt: float, m: float, alpha: float) -> tuple[tuple[float, int], ...]:
+    """LEACH, TEEN and SEP's (p, epoch in rounds) for normal, then advanced nodes."""
+    p = (p_opt, p_opt)
+    if name == "sep":
         # a p above 1 means a one-round epoch and a threshold of 1, as p = 1 does
-        return np.where(network.advanced[ids], min(1.0, p_adv), min(1.0, p_nrm))
-    if protocol.name == "deec":
-        avg_energy = network_average_energy(network.residual.tolist())
-        return deec_probability(network.residual[ids], network.advanced[ids], cfg.p_opt,
-                                cfg.adv_fraction, cfg.adv_energy_factor, avg_energy)
-    return np.full(len(ids), cfg.p_opt)
+        p = tuple(min(1.0, q) for q in sep_probabilities(p_opt, m, alpha))
+    return tuple((q, int(epoch_length(q))) for q in p)
 
 
 def elect_cluster_heads(network: Network, protocol: Protocol,
@@ -170,16 +176,34 @@ def elect_cluster_heads(network: Network, protocol: Protocol,
     epoch. An empty CH set is a legal outcome handled by the engine.
     """
     ids = network.alive.nonzero()[0]
-    p = _election_probability(network, protocol, ids)
     eligible = network.eligible
-    # epochs are per class for SEP and per node for DEEC, so the wrap
-    # point differs between nodes
-    eligible[ids[round_index % epoch_length(p) == 0]] = True
-    if not eligible[ids].any():
-        eligible[ids] = True
+    cfg = network.config
+    if protocol.name == "deec":
+        # p, and with it the epoch, differs from node to node
+        avg_energy = network_average_energy(network.residual.tolist())
+        p = deec_probability(network.residual[ids], network.advanced[ids], cfg.p_opt,
+                             cfg.adv_fraction, cfg.adv_energy_factor, avg_energy)
+        r_mod = round_index % epoch_length(p)
+        eligible[ids[r_mod == 0]] = True
+        threshold = _ramp(p, r_mod)
+    else:
+        # p depends only on a node's class: each class's epoch wrap and
+        # threshold are worked out once and broadcast to its nodes
+        (p_nrm, epoch_nrm), (p_adv, epoch_adv) = _classes(
+            protocol.name, cfg.p_opt, cfg.adv_fraction, cfg.adv_energy_factor)
+        wrap_nrm, t_nrm = _class_round(p_nrm, round_index % epoch_nrm)
+        wrap_adv, t_adv = _class_round(p_adv, round_index % epoch_adv)
+        advanced = network.advanced[ids]
+        if wrap_nrm or wrap_adv:
+            eligible[ids[np.where(advanced, wrap_adv, wrap_nrm)]] = True
+        threshold = np.where(advanced, t_adv, t_nrm)
     is_candidate = eligible[ids]
     candidates = ids[is_candidate]
-    thresholds = leach_threshold(p[is_candidate], round_index, True)
+    if not len(candidates):
+        # the set ran empty: every alive node is eligible again
+        eligible[ids] = True
+        candidates, is_candidate = ids, slice(None)
+    thresholds = threshold[is_candidate]
     draws = np.array([rng.random() for _ in range(len(candidates))])
     ch_ids = candidates[draws < thresholds]
     eligible[ch_ids] = False

@@ -54,10 +54,15 @@ def test_engine_calls_every_target_where_it_is_wrapped(name):
                 patched.append((owner, attr, getattr(owner, attr)))
                 calls[path] = 0
                 setattr(owner, attr, counting(path, getattr(owner, attr)))
-        engine.run_simulation(NetworkConfig(node_count=30, max_rounds=20), Protocol(name), 1)
+        result = engine.run_simulation(NetworkConfig(node_count=30, max_rounds=20),
+                                       Protocol(name), 1)
     finally:
         for owner, attr, original in reversed(patched):
             setattr(owner, attr, original)
 
     expected = {path: name == "teen" or path not in TEEN_ONLY for path in calls}
     assert {path: count > 0 for path, count in calls.items()} == expected
+    # a cached or fused election or formation would skip its span and skew
+    # the per-round figures perfbench divides by the round count
+    assert calls["elect_cluster_heads"] == len(result.trace)
+    assert calls["form_clusters"] == sum(m.ch_count > 0 for m in result.trace)

@@ -56,13 +56,16 @@ def tx_energy_reference(params, bits, distance):
 
 @given(st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=1, max_size=20))
 def test_tx_energy_arrays_match_the_scalar_formula(distances):
+    # a mixed batch, and batches wholly on one side of the crossover
     d0 = crossover_distance(TABLE)
-    distances = distances + [d0, math.nextafter(d0, 0.0)]
-    batch = tx_energy(TABLE, 4000, np.array(distances))
-    for d, got in zip(distances, batch.tolist()):
-        scalar = tx_energy(TABLE, 4000, d)
-        assert type(scalar) is float
-        assert got == scalar == tx_energy_reference(TABLE, 4000, d)
+    below = [d for d in distances if d < d0] + [math.nextafter(d0, 0.0)]
+    above = [d for d in distances if d >= d0] + [d0]
+    for distances in (below + above, below, above):
+        batch = tx_energy(TABLE, 4000, np.array(distances))
+        for d, got in zip(distances, batch.tolist()):
+            scalar = tx_energy(TABLE, 4000, d)
+            assert type(scalar) is float
+            assert got == scalar == tx_energy_reference(TABLE, 4000, d)
 
 
 def test_tx_energy_branches_agree_at_crossover():

@@ -267,6 +267,55 @@ def test_deec_election_prefers_energetic_nodes():
     assert sum(counts[5:]) > sum(counts[:5])
 
 
+
+def reference_election(network, protocol, r, rng):
+    """Node by node: each alive node's p refills its own eligibility at its
+    epoch wrap, and its threshold is leach_threshold(p_i, r, True)."""
+    cfg = network.config
+    p_nrm, p_adv = sep_probabilities(cfg.p_opt, cfg.adv_fraction, cfg.adv_energy_factor)
+    eligible = network.eligible.copy()
+    alive = network.alive.nonzero()[0].tolist()
+    p = {}
+    for i in alive:
+        p[i] = cfg.p_opt
+        if protocol.name == "sep":
+            p[i] = min(1.0, p_adv if network.advanced[i] else p_nrm)
+        if r % epoch_length(p[i]) == 0:
+            eligible[i] = True
+    if not any(eligible[i] for i in alive):
+        eligible[alive] = True
+    candidates = [i for i in alive if eligible[i]]
+    thresholds = [float(leach_threshold(p[i], r, True)) for i in candidates]
+    for i, threshold in zip(candidates, thresholds):
+        if rng.random() < threshold:
+            eligible[i] = False
+    return candidates, thresholds, eligible
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("leach", "teen", "sep")),
+       st.floats(min_value=0.05, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=10.0),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=200),
+       st.data())
+def test_class_election_matches_a_per_node_reference(name, p_opt, m, alpha, n, start, data):
+    # 25 rounds cross at least one epoch wrap of every class (epochs <= 20
+    # rounds); alpha up to 10 gives SEP a p_adv above 1
+    cfg = NetworkConfig(node_count=n, p_opt=p_opt, adv_fraction=m, adv_energy_factor=alpha)
+    net = deploy(cfg, data.draw(st.integers(min_value=0, max_value=10**6)))
+    net.alive[:] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    net.eligible[:] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assume(net.alive.any())
+    rng, ref_rng = random.Random(start), random.Random(start)
+    for r in range(start, start + 25):
+        candidates, thresholds, eligible = reference_election(net, Protocol(name), r, ref_rng)
+        outcome = elect_cluster_heads(net, Protocol(name), r, rng)
+        assert outcome.candidates.tolist() == candidates
+        assert outcome.thresholds.tolist() == thresholds
+        assert net.eligible.tolist() == eligible.tolist()
+
 # --- cluster formation ----------------------------------------------------
 
 def test_form_clusters_single_ch():
