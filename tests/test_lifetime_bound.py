@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -58,8 +59,8 @@ def brute_force_bitmask(instance):
     return best
 
 
-def random_instance(rng, n_max=4, m_max=2, z_max=2, k_max=10):
-    n = rng.randint(1, n_max)
+def random_instance(rng, n_max=4, m_max=2, z_max=2, k_max=10, n_min=1):
+    n = rng.randint(n_min, n_max)
     m = rng.randint(1, m_max)
     z = rng.randint(1, z_max)
     k = rng.randint(1, k_max)
@@ -130,6 +131,25 @@ def test_single_sensor_budget_quotient():
     assert verify_schedule(single_sensor_instance(e=0.5, budget=2.0), schedule)[0]
 
 
+@pytest.mark.parametrize("budget,k_star", [(0.3, 2), (0.6, 5), (0.7, 6)])
+def test_budget_boundary_follows_the_counts_form(budget, k_star):
+    # the budget check prices counts * e: 6 * 0.1 = 0.6000000000000001 > 0.6,
+    # while a running sum of six 0.1s reaches 0.6 exactly and would allow six
+    instance = single_sensor_instance(e=0.1, budget=budget)
+    assert solve_exact(instance)[0] == k_star
+    assert solve_exhaustive(instance) == k_star
+
+
+def test_verify_rejects_the_activation_past_the_float_boundary():
+    instance = single_sensor_instance(e=0.1, budget=0.6)
+    for active in (5, 6):
+        schedule = Schedule.empty(instance)
+        for k in range(active):
+            schedule.r[k] = True
+            schedule.x[0][k][0] = True
+        assert verify_schedule(instance, schedule)[0] == (active == 5)
+
+
 def test_two_sensors_pool_their_budgets():
     instance = BoundInstance(n_sensors=2, n_chs=1, n_ranges=1, k_max=16,
                              range_energies=(1.0,), budget=2.0,
@@ -167,6 +187,24 @@ def test_exact_matches_exhaustive_on_random_instances():
         k_exact, schedule = solve_exact(instance)
         assert k_exact == solve_exhaustive(instance)
         assert verify_schedule(instance, schedule)[0]
+
+
+# SHA-256 over K*, the oracle's K* and the witness schedule of 45 instances
+# with N <= 4 and 15 with N = 5..6, K <= 8 (seed 2026). The witness depends
+# on solve_exact's search order, which the K* comparisons above do not pin.
+WITNESS_GOLDEN = "5d8452b761850131d1bb7c6b26ae9fad8cb137a2ac2876b2231a05468c17db11"
+
+
+def test_witness_schedules_are_pinned():
+    rng = random.Random(2026)
+    instances = ([random_instance(rng) for _ in range(45)]
+                 + [random_instance(rng, n_min=5, n_max=6, k_max=8) for _ in range(15)])
+    digest = hashlib.sha256()
+    for instance in instances:
+        k_star, schedule = solve_exact(instance)
+        digest.update(f"{k_star} {solve_exhaustive(instance)}\n".encode())
+        digest.update(schedule_to_text(schedule).encode())
+    assert digest.hexdigest() == WITNESS_GOLDEN
 
 
 @st.composite
