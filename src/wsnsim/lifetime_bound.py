@@ -10,8 +10,11 @@ Two independent solution paths are kept deliberately separate:
 `solve_exact` is a branch-and-bound over minimal covering assignments,
 while `solve_exhaustive` enumerates every affordable covering assignment
 round by round (memoized on remaining budgets) and serves as the oracle
-the branch-and-bound is tested against. Both share one affordability
-helper so their floating-point budget arithmetic agrees bit for bit.
+the branch-and-bound is tested against. Each solve memoizes one table of
+budget steps, from a sensor's activation counts and a range to its counts
+after one more activation at that range (or "unaffordable"). Both solvers
+fill it through the same affordability helper, so their floating-point
+budget arithmetic agrees bit for bit, and the table dies with the solve.
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ class BoundInstance:
             raise ValueError("k_max must be >= 1")
         if len(self.range_energies) != self.n_ranges:
             raise ValueError("range_energies length must equal n_ranges")
-        if any(e <= 0 for e in self.range_energies):
-            raise ValueError("range energies must be positive")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in self.range_energies):
+            raise ValueError(f"range energies must be positive and finite, "
+                             f"got {self.range_energies}")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ValueError(f"budget must be positive and finite, got {self.budget!r}")
         if len(self.coverage) != self.n_sensors or any(
                 len(rows) != self.n_ranges or any(len(row) != self.n_chs for row in rows)
                 for rows in self.coverage):
@@ -106,8 +110,32 @@ def _affordable(counts: tuple[int, ...], z: int, instance: BoundInstance) -> boo
     return _sensor_cost(_with_activation(counts, z), instance.range_energies) <= instance.budget
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `fill(*key)`; each lives for one solve."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(*key)
+        return value
+
+
+def _budget_steps(instance: BoundInstance) -> _Memo:
+    """(counts, z) -> the counts after one more range-z activation, or None if unaffordable."""
+    return _Memo(lambda counts, z: (_with_activation(counts, z)
+                                    if _affordable(counts, z, instance) else None))
+
+
 # an assignment maps each sensor to a range index, or -1 for idle
 Assignment = tuple[int, ...]
+# the same assignment as its (sensor, range) pairs of active sensors
+ActivePairs = tuple[tuple[int, int], ...]
+
+
+def _active_pairs(assignment: Assignment) -> ActivePairs:
+    return tuple((i, z) for i, z in enumerate(assignment) if z >= 0)
 
 
 def _is_covering(assignment: Assignment, instance: BoundInstance) -> bool:
@@ -189,10 +217,12 @@ def solve_exhaustive(instance: BoundInstance) -> int:
 
     Tries every affordable covering assignment at every level, memoizing on
     the per-sensor usage counts (budgets decrease strictly, so recursion
-    terminates). Exact, no pruning heuristics.
+    terminates) and taking each activation from the solve's budget steps.
+    Exact, no pruning heuristics.
     """
     instance.check_solver_guards()
-    assignments = _covering_assignments(instance)
+    assignments = [_active_pairs(a) for a in _covering_assignments(instance)]
+    steps = _budget_steps(instance)
     memo: dict[tuple, int] = {}
 
     def best_from(state: tuple[tuple[int, ...], ...]) -> int:
@@ -200,23 +230,18 @@ def solve_exhaustive(instance: BoundInstance) -> int:
         if cached is not None:
             return cached
         best = 0
-        for assignment in assignments:
+        for pairs in assignments:
             next_state = list(state)
-            ok = True
-            for i, z in enumerate(assignment):
-                if z < 0:
-                    continue
-                if not _affordable(state[i], z, instance):
-                    ok = False
+            for i, z in pairs:
+                next_state[i] = steps[state[i], z]
+                if next_state[i] is None:
                     break
-                next_state[i] = _with_activation(state[i], z)
-            if not ok:
-                continue
-            depth = 1 + best_from(tuple(next_state))
-            if depth > best:
-                best = depth
-                if best >= instance.k_max:
-                    break
+            else:
+                depth = 1 + best_from(tuple(next_state))
+                if depth > best:
+                    best = depth
+                    if best >= instance.k_max:
+                        break
         memo[state] = best
         return best
 
@@ -235,7 +260,8 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
     minimal = [a for a in _covering_assignments(instance)
                if _is_minimal(a, instance)]
     minimal.sort(key=lambda a: (_assignment_cost(a, instance), a))
-    energies = instance.range_energies
+    minimal_pairs = [_active_pairs(a) for a in minimal]
+    steps = _budget_steps(instance)
     k_cap = instance.k_max
 
     # coverage options per CH: which (sensor, range) pairs can serve it
@@ -247,20 +273,20 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
 
     def remaining_activations(counts: tuple[int, ...], z: int) -> int:
         # exact count of further range-z activations this sensor can afford,
-        # probed with the shared arithmetic (no float division)
+        # walked through the budget steps (no float division)
         extra = 0
-        current = counts
-        while extra <= k_cap and _affordable(current, z, instance):
-            current = _with_activation(current, z)
+        while extra <= k_cap and (counts := steps[counts, z]) is not None:
             extra += 1
         return extra
+
+    remaining = _Memo(remaining_activations)
 
     def upper_bound(state: tuple[tuple[int, ...], ...]) -> int:
         bound = k_cap
         for options in per_ch_options:
             capacity = 0
             for i, z in options:
-                capacity += remaining_activations(state[i], z)
+                capacity += remaining[state[i], z]
                 if capacity >= bound:
                     break
             bound = min(bound, capacity)
@@ -269,8 +295,8 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
         return bound
 
     best = 0
-    best_path: list[Assignment] = []
-    path: list[Assignment] = []
+    best_path: list[ActivePairs] = []
+    path: list[ActivePairs] = []
 
     def dfs(state: tuple[tuple[int, ...], ...], start: int) -> None:
         nonlocal best, best_path
@@ -280,34 +306,28 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
             best_path = list(path)
         if depth >= k_cap or depth + upper_bound(state) <= best:
             return
-        for idx in range(start, len(minimal)):
-            assignment = minimal[idx]
+        for idx in range(start, len(minimal_pairs)):
+            pairs = minimal_pairs[idx]
             next_state = list(state)
-            ok = True
-            for i, z in enumerate(assignment):
-                if z < 0:
-                    continue
-                if not _affordable(next_state[i], z, instance):
-                    ok = False
+            for i, z in pairs:
+                next_state[i] = steps[state[i], z]
+                if next_state[i] is None:
                     break
-                next_state[i] = _with_activation(next_state[i], z)
-            if not ok:
-                continue
-            path.append(assignment)
-            dfs(tuple(next_state), idx)
-            path.pop()
-            if best >= k_cap:
-                return
+            else:
+                path.append(pairs)
+                dfs(tuple(next_state), idx)
+                path.pop()
+                if best >= k_cap:
+                    return
 
     zero = tuple((0,) * instance.n_ranges for _ in range(instance.n_sensors))
     dfs(zero, 0)
 
     schedule = Schedule.empty(instance)
-    for k, assignment in enumerate(best_path):
+    for k, pairs in enumerate(best_path):
         schedule.r[k] = True
-        for i, z in enumerate(assignment):
-            if z >= 0:
-                schedule.x[i][k][z] = True
+        for i, z in pairs:
+            schedule.x[i][k][z] = True
     ok, violations = verify_schedule(instance, schedule)
     if not ok:
         raise AssertionError(f"solver produced an infeasible witness: {violations}")
@@ -385,6 +405,9 @@ def instance_from_text(text: str) -> BoundInstance:
             toks = rows[i * z_count + z].split()
             if len(toks) != m:
                 raise ValueError(f"coverage row {i * z_count + z} needs {m} entries")
+            if any(tok not in ("0", "1") for tok in toks):
+                raise ValueError(f"coverage row {i * z_count + z} must hold only 0 or 1, "
+                                 f"got {' '.join(toks)!r}")
             per_range.append(tuple(tok == "1" for tok in toks))
         coverage.append(tuple(per_range))
     return BoundInstance(n_sensors=n, n_chs=m, n_ranges=z_count, k_max=k_max,

@@ -164,6 +164,19 @@ def test_bound_infeasible_coverage(tmp_path, capsys):
     assert "K* = 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["1 1 1 4\n0.5\n2.0\n2\n", "1 1 1 4\n0.5\nnan\n1\n",
+                                  "1 1 1 4\ninf\n2.0\n1\n"])
+def test_bound_rejects_bad_instance_before_any_file(tmp_path, capsys, text):
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("bound", str(path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "K* =" not in captured.out
+    assert not out.exists()
+
+
 def test_bound_too_large_instance_reports_limits(tmp_path, capsys):
     instance = BoundInstance(
         n_sensors=1, n_chs=1, n_ranges=1, k_max=32,

@@ -220,13 +220,13 @@ def single_target_instances(draw):
         coverage=tuple(tuple((draw(st.booleans()),) for _ in range(z)) for _ in range(n)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(single_target_instances())
 def test_exact_matches_exhaustive_with_one_target(instance):
     assert solve_exact(instance)[0] == solve_exhaustive(instance)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=5),
        st.floats(min_value=1.0, max_value=6.0),
        st.integers(min_value=0, max_value=10**6))
@@ -291,10 +291,21 @@ def test_schedule_text_shape():
 
 
 def test_instance_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        instance_from_text("1 1 1\n")
-    with pytest.raises(ValueError):
-        instance_from_text("2 1 1 4\n0.5\n2.0\n1\n")  # missing coverage row
+    cases = [
+        ("1 1 1\n", None),
+        ("2 1 1 4\n0.5\n2.0\n1\n", "coverage rows"),  # missing coverage row
+        ("1 2 1 4\n0.5\n2.0\n1 2\n", "coverage row 0"),
+        ("2 1 1 4\n0.5\n2.0\n1\nyes\n", "coverage row 1"),
+        ("1 1 1 4\n0.5\n2.0\n1.0\n", "coverage row 0"),
+        ("1 1 1 4\n0.5\nnan\n1\n", "budget"),
+        ("1 1 1 4\n0.5\ninf\n1\n", "budget"),
+        ("1 1 2 4\n0.5 nan\n2.0\n1\n1\n", "range energies"),
+        ("1 1 1 4\n-inf\n2.0\n1\n", "range energies"),
+        ("1 1 1 4\ninf\n2.0\n1\n", "range energies"),
+    ]
+    for text, match in cases:
+        with pytest.raises(ValueError, match=match):
+            instance_from_text(text)
 
 
 # --- network mapping ------------------------------------------------------
