@@ -10,18 +10,23 @@ Two independent solution paths are kept deliberately separate:
 `solve_exact` is a branch-and-bound over minimal covering assignments,
 while `solve_exhaustive` enumerates every affordable covering assignment
 round by round (memoized on remaining budgets) and serves as the oracle
-the branch-and-bound is tested against. Each solve memoizes one table of
-budget steps, from a sensor's activation counts and a range to its counts
-after one more activation at that range (or "unaffordable"). Both solvers
-fill it through the same affordability helper, so their floating-point
-budget arithmetic agrees bit for bit, and the table dies with the solve.
+the branch-and-bound is tested against. Each solve builds one coverage
+encoding and one budget table, and both searches read them. Coverage is a
+bitmask per (sensor, range): an assignment covers when the OR of its
+active masks has all M bits set. A sensor's activation counts are interned
+as a small int, and the table maps (state, range) to the state after one
+more activation at that range, or to "unaffordable". States stop at k_max
+activations, since a sensor is active at most once per round. Both solvers
+fill the table through the same affordability helper, so their
+floating-point budget arithmetic agrees bit for bit, and the masks and the
+table die with the solve.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional
 
 from .energy_model import crossover_distance, tx_energy
@@ -35,6 +40,13 @@ MAX_ROUNDS = 16
 
 class InstanceTooLargeError(ValueError):
     pass
+
+
+def _check_sizes(**sizes: int) -> None:
+    """Reject an empty instance: no sensors, CHs or ranges, or no rounds."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +66,8 @@ class BoundInstance:
     coverage: tuple[tuple[tuple[bool, ...], ...], ...]
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        _check_sizes(n_sensors=self.n_sensors, n_chs=self.n_chs,
+                     n_ranges=self.n_ranges, k_max=self.k_max)
         if len(self.range_energies) != self.n_ranges:
             raise ValueError("range_energies length must equal n_ranges")
         if not all(math.isfinite(e) and e > 0 for e in self.range_energies):
@@ -111,21 +123,42 @@ def _affordable(counts: tuple[int, ...], z: int, instance: BoundInstance) -> boo
 
 
 class _Memo(dict):
-    """A dict that fills a missing key with `fill(*key)`; each lives for one solve."""
+    """A dict that fills a missing key with `fill(key)`; each lives for one solve."""
 
     def __init__(self, fill):
         super().__init__()
         self.fill = fill
 
     def __missing__(self, key):
-        value = self[key] = self.fill(*key)
+        value = self[key] = self.fill(key)
         return value
 
 
-def _budget_steps(instance: BoundInstance) -> _Memo:
-    """(counts, z) -> the counts after one more range-z activation, or None if unaffordable."""
-    return _Memo(lambda counts, z: (_with_activation(counts, z)
-                                    if _affordable(counts, z, instance) else None))
+def _budget_table(instance: BoundInstance) -> _Memo:
+    """state -> the state after one more activation at each range z, then the state itself.
+
+    A state is a sensor's activation counts, interned as a small int; state 0
+    is no activation. A step is None when it is unaffordable or would take
+    the sensor past k_max activations, which no k_max-round schedule needs.
+    The trailing entry makes row[-1], the idle choice, leave the state as is.
+    """
+    counts_of = [(0,) * instance.n_ranges]
+    ids = {counts_of[0]: 0}
+
+    def intern(counts: tuple[int, ...]) -> int:
+        if counts not in ids:
+            ids[counts] = len(counts_of)
+            counts_of.append(counts)
+        return ids[counts]
+
+    def row(state: int) -> tuple[Optional[int], ...]:
+        counts = counts_of[state]
+        capped = sum(counts) == instance.k_max
+        return tuple(None if capped or not _affordable(counts, z, instance)
+                     else intern(_with_activation(counts, z))
+                     for z in range(instance.n_ranges)) + (state,)
+
+    return _Memo(row)
 
 
 # an assignment maps each sensor to a range index, or -1 for idle
@@ -138,26 +171,35 @@ def _active_pairs(assignment: Assignment) -> ActivePairs:
     return tuple((i, z) for i, z in enumerate(assignment) if z >= 0)
 
 
-def _is_covering(assignment: Assignment, instance: BoundInstance) -> bool:
-    for j in range(instance.n_chs):
-        if not any(z >= 0 and instance.coverage[i][z][j]
-                   for i, z in enumerate(assignment)):
-            return False
-    return True
+def _coverage_masks(instance: BoundInstance) -> list[tuple[int, ...]]:
+    """masks[i][z]: bit j set when sensor i at range z covers CH j.
+
+    Each row ends with a 0, so masks[i][-1], the idle choice, covers nothing.
+    """
+    return [tuple(sum(1 << j for j, covered in enumerate(row) if covered) for row in rows)
+            + (0,) for rows in instance.coverage]
 
 
-def _covering_assignments(instance: BoundInstance) -> list[Assignment]:
-    choices = range(-1, instance.n_ranges)
-    return [a for a in itertools.product(choices, repeat=instance.n_sensors)
-            if _is_covering(a, instance)]
+def _covering_assignments(instance: BoundInstance,
+                          masks: list[tuple[int, ...]]) -> list[Assignment]:
+    """Every assignment whose active masks OR to all M bits, in product order."""
+    partial: list[tuple[Assignment, int]] = [((), 0)]
+    for sensor_masks in masks:
+        partial = [(a + (z,), covered | sensor_masks[z])
+                   for a, covered in partial for z in range(-1, instance.n_ranges)]
+    full = (1 << instance.n_chs) - 1
+    return [a for a, covered in partial if covered == full]
 
 
-def _is_minimal(assignment: Assignment, instance: BoundInstance) -> bool:
-    for i, z in enumerate(assignment):
-        if z < 0:
-            continue
-        reduced = assignment[:i] + (-1,) + assignment[i + 1:]
-        if _is_covering(reduced, instance):
+def _is_minimal(assignment: Assignment, masks: list[tuple[int, ...]]) -> bool:
+    """True when every active sensor of a covering assignment covers a CH alone."""
+    once = twice = 0
+    for row, z in zip(masks, assignment):
+        twice |= once & row[z]
+        once |= row[z]
+    alone = once & ~twice
+    for row, z in zip(masks, assignment):
+        if z >= 0 and not row[z] & alone:
             return False
     return True
 
@@ -216,37 +258,43 @@ def solve_exhaustive(instance: BoundInstance) -> int:
     """Oracle: maximum active rounds by plain round-by-round enumeration.
 
     Tries every affordable covering assignment at every level, memoizing on
-    the per-sensor usage counts (budgets decrease strictly, so recursion
-    terminates) and taking each activation from the solve's budget steps.
-    Exact, no pruning heuristics.
+    the per-sensor budget states and taking each activation from the solve's
+    budget steps. Every round activates some sensor and no sensor passes
+    k_max activations, so the recursion is at most N * k_max deep. Exact, no
+    pruning heuristics.
     """
     instance.check_solver_guards()
-    assignments = [_active_pairs(a) for a in _covering_assignments(instance)]
-    steps = _budget_steps(instance)
-    memo: dict[tuple, int] = {}
+    n_ranges = instance.n_ranges
+    assignments = _covering_assignments(instance, _coverage_masks(instance))
+    table = _budget_table(instance)
+    # bit i*Z + z: sensor i active at range z (uses), or unable to step at z (blocked)
+    uses = [sum(1 << (i * n_ranges + z) for i, z in enumerate(a) if z >= 0)
+            for a in assignments]
+    blocked_bits = _Memo(lambda state: sum(1 << z for z in range(n_ranges)
+                                           if table[state][z] is None))
+    affordable = _Memo(lambda blocked: [a for a, used in zip(assignments, uses)
+                                        if not used & blocked])
+    memo: dict[tuple[int, ...], int] = {}
 
-    def best_from(state: tuple[tuple[int, ...], ...]) -> int:
+    def best_from(state: tuple[int, ...]) -> int:
         cached = memo.get(state)
         if cached is not None:
             return cached
         best = 0
-        for pairs in assignments:
-            next_state = list(state)
-            for i, z in pairs:
-                next_state[i] = steps[state[i], z]
-                if next_state[i] is None:
+        blocked = 0
+        for i, s in enumerate(state):
+            blocked |= blocked_bits[s] << (i * n_ranges)
+        rows = [table[s] for s in state]
+        for assignment in affordable[blocked]:
+            depth = 1 + best_from(tuple(map(getitem, rows, assignment)))
+            if depth > best:
+                best = depth
+                if best >= instance.k_max:
                     break
-            else:
-                depth = 1 + best_from(tuple(next_state))
-                if depth > best:
-                    best = depth
-                    if best >= instance.k_max:
-                        break
         memo[state] = best
         return best
 
-    zero = tuple((0,) * instance.n_ranges for _ in range(instance.n_sensors))
-    return min(instance.k_max, best_from(zero))
+    return min(instance.k_max, best_from((0,) * instance.n_sensors))
 
 
 def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
@@ -257,11 +305,11 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
     The witness always passes `verify_schedule`.
     """
     instance.check_solver_guards()
-    minimal = [a for a in _covering_assignments(instance)
-               if _is_minimal(a, instance)]
+    masks = _coverage_masks(instance)
+    minimal = [a for a in _covering_assignments(instance, masks) if _is_minimal(a, masks)]
     minimal.sort(key=lambda a: (_assignment_cost(a, instance), a))
     minimal_pairs = [_active_pairs(a) for a in minimal]
-    steps = _budget_steps(instance)
+    table = _budget_table(instance)
     k_cap = instance.k_max
 
     # coverage options per CH: which (sensor, range) pairs can serve it
@@ -271,17 +319,18 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
         for j in range(instance.n_chs)
     ]
 
-    def remaining_activations(counts: tuple[int, ...], z: int) -> int:
-        # exact count of further range-z activations this sensor can afford,
-        # walked through the budget steps (no float division)
+    def remaining_activations(key: tuple[int, int]) -> int:
+        # exact count of further range-z activations this sensor can afford
+        # within k_max, walked through the budget table (no float division)
+        state, z = key
         extra = 0
-        while extra <= k_cap and (counts := steps[counts, z]) is not None:
+        while (state := table[state][z]) is not None:
             extra += 1
         return extra
 
     remaining = _Memo(remaining_activations)
 
-    def upper_bound(state: tuple[tuple[int, ...], ...]) -> int:
+    def upper_bound(state: tuple[int, ...]) -> int:
         bound = k_cap
         for options in per_ch_options:
             capacity = 0
@@ -298,7 +347,7 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
     best_path: list[ActivePairs] = []
     path: list[ActivePairs] = []
 
-    def dfs(state: tuple[tuple[int, ...], ...], start: int) -> None:
+    def dfs(state: tuple[int, ...], start: int) -> None:
         nonlocal best, best_path
         depth = len(path)
         if depth > best:
@@ -310,7 +359,7 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
             pairs = minimal_pairs[idx]
             next_state = list(state)
             for i, z in pairs:
-                next_state[i] = steps[state[i], z]
+                next_state[i] = table[state[i]][z]
                 if next_state[i] is None:
                     break
             else:
@@ -320,8 +369,7 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
                 if best >= k_cap:
                     return
 
-    zero = tuple((0,) * instance.n_ranges for _ in range(instance.n_sensors))
-    dfs(zero, 0)
+    dfs((0,) * instance.n_sensors, 0)
 
     schedule = Schedule.empty(instance)
     for k, pairs in enumerate(best_path):
@@ -385,14 +433,19 @@ def instance_to_text(instance: BoundInstance) -> str:
 def instance_from_text(text: str) -> BoundInstance:
     """Parse the plain matrix format.
 
-    Line 1: `N M Z K`. Line 2: the Z range energies. Line 3: the budget E.
-    Then N*Z rows of M 0/1 flags: row i*Z + z holds sensor i's coverage of
-    each CH at range z.
+    Line 1: `N M Z K`, four integers of at least 1. Line 2: the Z range
+    energies. Line 3: the budget E. Then N*Z rows of M 0/1 flags: row
+    i*Z + z holds sensor i's coverage of each CH at range z.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) < 3:
         raise ValueError("instance text too short")
-    n, m, z_count, k_max = (int(tok) for tok in lines[0].split())
+    try:
+        n, m, z_count, k_max = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"line 1 must hold four integers N M Z K, got {lines[0]!r}") from None
+    # here, not only in BoundInstance: an empty M or Z would first fail the row count
+    _check_sizes(n_sensors=n, n_chs=m, n_ranges=z_count, k_max=k_max)
     energies = tuple(float(tok) for tok in lines[1].split())
     budget = float(lines[2])
     rows = lines[3:]

@@ -165,7 +165,8 @@ def test_bound_infeasible_coverage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["1 1 1 4\n0.5\n2.0\n2\n", "1 1 1 4\n0.5\nnan\n1\n",
-                                  "1 1 1 4\ninf\n2.0\n1\n"])
+                                  "1 1 1 4\ninf\n2.0\n1\n", "0 0 1 4\n0.5\n2.0\n",
+                                  "1 0 1 4\n0.5\n2.0\n", "1 1 0 4\n0.5\n2.0\n1\n"])
 def test_bound_rejects_bad_instance_before_any_file(tmp_path, capsys, text):
     path = tmp_path / "inst.txt"
     path.write_text(text, encoding="utf-8")

@@ -11,6 +11,9 @@ from wsnsim.lifetime_bound import (
     BoundInstance,
     InstanceTooLargeError,
     Schedule,
+    _coverage_masks,
+    _covering_assignments,
+    _is_minimal,
     bound_for_simulated_network,
     instance_from_text,
     instance_to_text,
@@ -238,6 +241,56 @@ def test_exact_matches_exhaustive_on_simulated_networks(n, packets, seed):
     assert solve_exact(instance)[0] == solve_exhaustive(instance)
 
 
+def reference_is_covering(assignment, instance):
+    return all(any(z >= 0 and instance.coverage[i][z][j] for i, z in enumerate(assignment))
+               for j in range(instance.n_chs))
+
+
+def reference_is_minimal(assignment, instance):
+    return not any(reference_is_covering(assignment[:i] + (-1,) + assignment[i + 1:], instance)
+                   for i, z in enumerate(assignment) if z >= 0)
+
+
+@st.composite
+def coverage_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=4))
+    z = draw(st.integers(min_value=1, max_value=3))
+    coverage = tuple(tuple(tuple(draw(st.booleans()) for _ in range(m)) for _ in range(z))
+                     for _ in range(n))
+    return BoundInstance(n_sensors=n, n_chs=m, n_ranges=z, k_max=4,
+                         range_energies=(1.0,) * z, budget=2.0, coverage=coverage)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coverage_instances())
+def test_bitmask_covers_match_the_plain_definition(instance):
+    masks = _coverage_masks(instance)
+    covering = _covering_assignments(instance, masks)
+    every = itertools.product(range(-1, instance.n_ranges), repeat=instance.n_sensors)
+    assert covering == [a for a in every if reference_is_covering(a, instance)]
+    assert ([a for a in covering if _is_minimal(a, masks)]
+            == [a for a in covering if reference_is_minimal(a, instance)])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_both_solvers_reach_k_max_at_the_default_battery(n):
+    # 0.5 J affords thousands of activations: the search must stop at k_max
+    instance = bound_for_simulated_network(deploy(NetworkConfig(node_count=n), 3))
+    assert solve_exact(instance)[0] == 16
+    assert solve_exhaustive(instance) == 16
+
+
+@pytest.mark.parametrize("field", ["n_sensors", "n_chs", "n_ranges", "k_max"])
+def test_empty_instance_is_rejected(field):
+    sizes = dict(n_sensors=1, n_chs=1, n_ranges=1, k_max=4)
+    sizes[field] = 0
+    with pytest.raises(ValueError, match=field):
+        BoundInstance(**sizes, range_energies=(0.5,) * sizes["n_ranges"], budget=2.0,
+                      coverage=full_coverage(sizes["n_sensors"], sizes["n_ranges"],
+                                             sizes["n_chs"]))
+
+
 def test_k_star_monotone_in_budget_and_coverage():
     rng = random.Random(11)
     for _ in range(10):
@@ -302,6 +355,10 @@ def test_instance_text_rejects_garbage():
         ("1 1 2 4\n0.5 nan\n2.0\n1\n1\n", "range energies"),
         ("1 1 1 4\n-inf\n2.0\n1\n", "range energies"),
         ("1 1 1 4\ninf\n2.0\n1\n", "range energies"),
+        ("4 1 2\n0.5\n2.0\n1\n", "line 1 must hold four integers N M Z K"),
+        ("0 0 1 4\n0.5\n2.0\n", "n_sensors"),
+        ("1 0 1 4\n0.5\n2.0\n", "n_chs"),
+        ("1 1 0 4\n0.5\n2.0\n1\n", "n_ranges"),
     ]
     for text, match in cases:
         with pytest.raises(ValueError, match=match):
