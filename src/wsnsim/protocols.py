@@ -20,6 +20,7 @@ station instead of directly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -223,7 +224,7 @@ class Clusters:
 def form_clusters(network: Network, ch_ids) -> Clusters:
     """Assign every alive non-CH node to its nearest CH (ties: lowest CH id).
 
-    The members x CHs distances are computed for this round only.
+    The distances are computed for this round only.
     """
     if len(ch_ids) == 0:
         raise ValueError("no cluster heads to form clusters around")
@@ -231,12 +232,136 @@ def form_clusters(network: Network, ch_ids) -> Clusters:
     is_member = network.alive.copy()
     is_member[chs] = False
     members = is_member.nonzero()[0]
-    block = network.distances(members, chs)
-    # argmin returns the first minimum, so sorted CH columns break ties
-    # toward the lowest CH id
+    nearest, distances = _nearest_ch(network, members, chs)
+    return Clusters(members=members, heads=chs[nearest], distances=distances)
+
+
+# Searches over fewer rows x CHs than this take one dense block: below it,
+# bucketing the CHs costs more than the block saves. Measured inside whole
+# runs, the two break even at about 100 CHs for cluster formation (about
+# 9 members per CH) and about 250 CHs for TEEN's next hops.
+_GRID_MIN_BLOCK = 1 << 16
+# CHs per grid cell when they spread over a square
+_CHS_PER_CELL = 1.0
+# candidate entries per row block of a grid search
+_GRID_BLOCK_ENTRIES = 8192
+
+
+def _nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
+                closer_to_bs: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """For each node in `rows`, the index into `chs` (ascending ids) of its
+    nearest CH and the distance to it; ties go to the lowest id.
+
+    With `closer_to_bs`, only CHs strictly closer to the BS than the row's
+    node count, and a row with none gets index 0 at distance inf. Distances
+    are `Network.distances`' float operations, so they have its bits. From
+    `_GRID_MIN_BLOCK` rows x CHs on, each row searches only the CHs in its 3x3
+    neighbourhood of grid cells; a row whose best candidate is not nearer
+    than the neighbourhood's edge (with a relative slack of 1e-9) searches
+    every CH instead, so the answer is always the dense block's.
+    """
+    if len(rows) * len(chs) < _GRID_MIN_BLOCK:
+        return _dense_nearest_ch(network, rows, chs, closer_to_bs)
+    x, y, to_bs = network.x, network.y, network.dist_to_bs
+    table, qcell, margin = _grid_candidates(np.stack((x[chs], y[chs])),
+                                            np.stack((x[rows], y[rows])))
+    # padding (index len(chs)) sits at infinity, so it is never nearest
+    cx, cy, cbs = (np.append(v[chs], np.inf) for v in (x, y, to_bs))
+    nearest = np.empty(len(rows), dtype=np.intp)
+    distances = np.empty(len(rows))
+    # row blocks keep each temporary small: larger ones were page-faulted
+    # in afresh on every call, which cost more than the search
+    step = max(1, _GRID_BLOCK_ENTRIES // table.shape[1])
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        cand = table[qcell[start:start + step]]
+        # Network.distances' float operations, so its bits
+        dx = cx[cand]
+        np.subtract(x[part][:, None], dx, out=dx)
+        dy = cy[cand]
+        np.subtract(y[part][:, None], dy, out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        block = np.sqrt(dx, out=dx)
+        if closer_to_bs:
+            block[~(cbs[cand] < to_bs[part][:, None])] = np.inf
+        picked = np.arange(len(part)), block.argmin(axis=1)
+        nearest[start:start + step] = cand[picked]
+        distances[start:start + step] = block[picked]
+    unsure = ~(distances < margin * (1.0 - 1e-9))
+    if unsure.any():
+        nearest[unsure], distances[unsure] = _dense_nearest_ch(
+            network, rows[unsure], chs, closer_to_bs)
+    return nearest, distances
+
+
+def _dense_nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
+                      closer_to_bs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`_nearest_ch` over the whole rows x CHs block."""
+    block = network.distances(rows, chs)
+    if closer_to_bs:
+        to_bs = network.dist_to_bs
+        block[~(to_bs[chs][None, :] < to_bs[rows][:, None])] = np.inf
+    # argmin returns the first minimum, so the ascending CH columns break
+    # ties toward the lowest CH id
     nearest = block.argmin(axis=1)
-    return Clusters(members=members, heads=chs[nearest],
-                    distances=block[np.arange(len(members)), nearest])
+    return nearest, block[np.arange(len(rows)), nearest]
+
+
+def _grid_candidates(points: np.ndarray,
+                     queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bucket `points` (2 x k: x, then y) into a uniform grid and give each
+    query (2 x q) its candidate points.
+
+    The grid covers the points' bounding box in square cells, about
+    `_CHS_PER_CELL` points to a cell when they spread over a square. The
+    side comes from the box's larger extent, so there are at most
+    (ceil(sqrt(k / _CHS_PER_CELL)))^2 cells even when the points are
+    collinear or coincide. Returns a table with one row per cell, holding
+    in ascending order the indexes of the points in that cell's 3x3
+    neighbourhood, padded with k; each query's row in it (its cell,
+    clamped into the grid); and each query's margin, its distance to that
+    neighbourhood's outer edge (inf on a side at the grid's border) less a
+    rounding slack. No point outside a query's row lies nearer than its
+    margin.
+    """
+    k = points.shape[1]
+    origin = points.min(axis=1, keepdims=True)
+    box = points.max(axis=1, keepdims=True) - origin
+    per_side = math.ceil(math.sqrt(k / _CHS_PER_CELL))
+    extent = box.max()
+    side = extent / per_side if extent > 0 else 1.0
+    # cells per axis, x then y; in cell units every cell edge is an integer
+    shape = np.minimum(per_side, (box / side).astype(np.intp) + 1)
+    nx, ny = shape[:, 0].tolist()
+
+    def cell_of(u):
+        return np.minimum(np.maximum(np.floor(u), 0), shape - 1).astype(np.intp)
+
+    ix, iy = cell_of((points - origin) / side)
+    cell = iy * nx + ix
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=nx * ny)
+    rank = np.arange(k) - (np.cumsum(counts) - counts)[cell[order]]
+    # each cell's points, padded with k, on the grid plus a ring of empty cells
+    grid = np.full((ny + 2, nx + 2, counts.max()), k)
+    grid[iy[order] + 1, ix[order] + 1, rank] = order
+    table = np.concatenate([grid[dy:dy + ny, dx:dx + nx] for dy in range(3) for dx in range(3)],
+                           axis=2).reshape(nx * ny, -1)
+    table.sort(axis=1)
+    table = table[:, :(table < k).sum(axis=1).max()]
+
+    u = (queries - origin) / side
+    qcell = cell_of(u)
+    # distances in cell units to the neighbourhood's low and high edges
+    low = np.where(qcell > 1, u - (qcell - 1), np.inf)
+    high = np.where(qcell < shape - 2, (qcell + 2) - u, np.inf)
+    # cell edges are exact integers in cell units, while u and the points'
+    # cells carry rounding errors of a few ulps of the largest coordinate
+    slack = 1e-12 * (np.abs(u).max() + per_side)
+    margin = (np.minimum(low, high).min(axis=0) - slack) * side
+    return table, qcell[1] * nx + qcell[0], margin
 
 
 def teen_should_transmit(network: Network, ids: np.ndarray, rng: random.Random) -> np.ndarray:
@@ -272,11 +397,8 @@ def teen_next_hop(network: Network, ch_ids: np.ndarray,
     forwarding can never cycle.
     """
     ch_ids = np.asarray(ch_ids)
-    block = network.distances(ch_ids, ch_ids)
     to_bs = network.dist_to_bs[ch_ids]
-    block[~(to_bs[None, :] < to_bs[:, None])] = np.inf
-    nearest = block.argmin(axis=1)
-    hop_dist = block[np.arange(len(ch_ids)), nearest]
+    nearest, hop_dist = _nearest_ch(network, ch_ids, ch_ids, closer_to_bs=True)
     relays = np.isfinite(hop_dist)
     if not sending.all():
         # farthest from the BS first, so a relay is marked before its turn

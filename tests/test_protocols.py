@@ -1,10 +1,13 @@
+import math
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wsnsim import protocols
 from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, Node, deploy
 from wsnsim.protocols import (
     Protocol,
@@ -460,6 +463,143 @@ def test_teen_next_hop_matches_pairwise_search(cells):
                 best, best_d = other, block[ch, other]
         assert next_hop[ch] == best
         assert hop_dist[ch] == (best_d if best >= 0 else net.dist_to_bs[ch])
+
+
+# --- grid search for the nearest CH ----------------------------------------
+
+SPACINGS = (0.1, 1.0, 10.0)
+
+
+def scan_nearest(net, rows, chs, closer_to_bs=False):
+    """Each row's nearest CH and distance by a scan over every CH in id order.
+
+    Distances use `Network.distances`' float operations, one row at a time;
+    a later CH replaces the best only when strictly nearer, so ties go to the
+    lowest id. With `closer_to_bs`, only CHs strictly closer to the BS count,
+    and a row with none gets -1 at distance inf.
+    """
+    heads, dists = [], []
+    for r in np.asarray(rows).tolist():
+        dx = net.x[r] - net.x[chs]
+        dy = net.y[r] - net.y[chs]
+        d = np.sqrt(dx * dx + dy * dy)
+        best, best_d = -1, np.inf
+        for c, dc, bs in zip(np.asarray(chs).tolist(), d, net.dist_to_bs[chs]):
+            if dc < best_d and (not closer_to_bs or bs < net.dist_to_bs[r]):
+                best, best_d = c, dc
+        heads.append(best)
+        dists.append(best_d)
+    return np.array(heads, dtype=int), np.array(dists, dtype=float)
+
+
+def assert_same_search(net, chs):
+    """form_clusters and teen_next_hop agree with `scan_nearest`, to the bit."""
+    clusters = form_clusters(net, chs)
+    alive_non_chs = np.setdiff1d(np.flatnonzero(net.alive), chs)
+    assert clusters.members.tolist() == alive_non_chs.tolist()
+    heads, dists = scan_nearest(net, clusters.members, chs)
+    assert clusters.heads.tolist() == heads.tolist()
+    assert clusters.distances.view(np.int64).tolist() == dists.view(np.int64).tolist()
+
+    next_hop, hop_dist, _ = teen_next_hop(net, chs, np.ones(len(chs), dtype=bool))
+    hops, hop_dists = scan_nearest(net, chs, chs, closer_to_bs=True)
+    hop_dists[hops < 0] = net.dist_to_bs[chs][hops < 0]
+    assert next_hop.tolist() == hops.tolist()
+    assert hop_dist.view(np.int64).tolist() == hop_dists.view(np.int64).tolist()
+
+
+@contextmanager
+def grid_from_any_size():
+    """Search on the grid whenever there is a row to search, not only past
+    the size where it pays off, so that small layouts reach it."""
+    cutoff = protocols._GRID_MIN_BLOCK
+    protocols._GRID_MIN_BLOCK = 1
+    try:
+        yield
+    finally:
+        protocols._GRID_MIN_BLOCK = cutoff
+
+
+@st.composite
+def search_layouts(draw):
+    """A network and its CHs: random or lattice positions (lattices give
+    exact distance ties), CHs from anywhere or only from the middle of the
+    field (so members lie outside the CHs' bounding box), and a BS on the
+    field, on a node, or off the field."""
+    if draw(st.booleans()):
+        spacing = draw(st.sampled_from(SPACINGS))
+        side = draw(st.integers(min_value=2, max_value=14))
+        cells = draw(st.lists(st.integers(min_value=0, max_value=side * side - 1),
+                              min_size=2, max_size=side * side, unique=True))
+        positions = [(spacing * (c % side), spacing * (c // side)) for c in cells]
+        extent = spacing * (side - 1)
+    else:
+        rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+        positions = [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
+                     for _ in range(draw(st.integers(min_value=2, max_value=200)))]
+        extent = 100.0
+    n = len(positions)
+    bs = draw(st.sampled_from([(0.5 * extent, 0.5 * extent), positions[0],
+                               (0.5 * extent, 3.0 * extent + 1.0), (-2.0 * extent - 1.0, 0.0)]))
+    net = make_network(positions, bs=bs)
+    pool = list(range(n))
+    if draw(st.booleans()):
+        inner = [i for i, (x, y) in enumerate(positions)
+                 if 0.25 * extent <= x <= 0.75 * extent and 0.25 * extent <= y <= 0.75 * extent]
+        pool = inner or pool
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    chs = np.array(sorted(rng.sample(pool, draw(st.integers(min_value=1, max_value=len(pool))))))
+    net.alive[[i for i in range(n) if i not in set(chs.tolist()) and rng.random() < 0.1]] = False
+    return net, chs
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_layouts())
+def test_grid_search_matches_a_pairwise_scan(layout):
+    net, chs = layout
+    with grid_from_any_size():
+        assert_same_search(net, chs)
+
+
+@pytest.mark.parametrize("spacing", (None,) + SPACINGS)
+def test_grid_search_past_the_cutoff_matches_a_pairwise_scan(spacing):
+    # 1600 nodes, deployed or on a 40 x 40 lattice, with the BS off the
+    # field; 320 CHs put both searches past the dense cutoff
+    if spacing is None:
+        net = deploy(NetworkConfig(node_count=1600, bs_position=(50.0, 175.0)), seed=5)
+    else:
+        net = make_network([(spacing * (i % 40), spacing * (i // 40)) for i in range(1600)],
+                           bs=(20.0 * spacing, 90.0 * spacing))
+    chs = np.arange(0, 1600, 5)
+    assert len(chs) ** 2 >= protocols._GRID_MIN_BLOCK
+    assert_same_search(net, chs)
+
+
+def test_grid_stays_small_on_degenerate_layouts():
+    queries = np.stack((np.linspace(-10.0, 110.0, 50), np.linspace(0.0, 40.0, 50)))
+    # 1000 collinear points: one row of ceil(sqrt(1000)) = 32 cells
+    line = np.stack((np.linspace(0.0, 100.0, 1000), np.full(1000, 20.0)))
+    table, rows, margin = protocols._grid_candidates(line, queries)
+    assert table.shape[0] == 32
+    assert table.shape[1] <= 3 * math.ceil(1000 / 32)
+    assert rows.max() < 32
+    # 50 coincident points: one cell, every point a candidate, no edge
+    point = np.full((2, 50), 7.5)
+    table, rows, margin = protocols._grid_candidates(point, queries)
+    assert table.tolist() == [list(range(50))]
+    assert np.isinf(margin).all()
+
+
+def test_grid_search_matches_a_pairwise_scan_on_degenerate_layouts():
+    # 1000 collinear CHs among 200 members, past the cutoff; then 50
+    # coincident CHs
+    positions = [(0.1 * i, 20.0) for i in range(1000)]
+    positions += [(0.5 * i, 10.0 + i % 20) for i in range(200)]
+    net = make_network(positions, bs=(30.0, 60.0))
+    assert_same_search(net, np.arange(1000))
+    net = make_network([(7.5, 7.5)] * 50 + [(float(i), 3.0) for i in range(30)])
+    with grid_from_any_size():
+        assert_same_search(net, np.arange(50))
 
 
 @settings(max_examples=60, deadline=None)
