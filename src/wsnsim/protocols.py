@@ -289,10 +289,13 @@ def _nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
         picked = np.arange(len(part)), block.argmin(axis=1)
         nearest[start:start + step] = cand[picked]
         distances[start:start + step] = block[picked]
-    unsure = ~(distances < margin * (1.0 - 1e-9))
-    if unsure.any():
-        nearest[unsure], distances[unsure] = _dense_nearest_ch(
-            network, rows[unsure], chs, closer_to_bs)
+    # rows not surely settled search every CH, in dense blocks of the size
+    # searched below the cutoff
+    unsure = (~(distances < margin * (1.0 - 1e-9))).nonzero()[0]
+    step = max(1, (_GRID_MIN_BLOCK - 1) // len(chs))
+    for start in range(0, len(unsure), step):
+        part = unsure[start:start + step]
+        nearest[part], distances[part] = _dense_nearest_ch(network, rows[part], chs, closer_to_bs)
     return nearest, distances
 
 
@@ -302,7 +305,7 @@ def _dense_nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
     block = network.distances(rows, chs)
     if closer_to_bs:
         to_bs = network.dist_to_bs
-        block[~(to_bs[chs][None, :] < to_bs[rows][:, None])] = np.inf
+        block[~(to_bs[chs] < to_bs[rows][:, None])] = np.inf
     # argmin returns the first minimum, so the ascending CH columns break
     # ties toward the lowest CH id
     nearest = block.argmin(axis=1)
