@@ -327,7 +327,9 @@ def _grid_candidates(points: np.ndarray,
     clamped into the grid); and each query's margin, its distance to that
     neighbourhood's outer edge (inf on a side at the grid's border) less a
     rounding slack. No point outside a query's row lies nearer than its
-    margin.
+    margin. When one cell holds a ninth of the points or more, the table
+    is a single row of every point and every margin is inf, so the table
+    never holds more than cells x k entries.
     """
     k = points.shape[1]
     origin = points.min(axis=1, keepdims=True)
@@ -344,8 +346,13 @@ def _grid_candidates(points: np.ndarray,
 
     ix, iy = cell_of((points - origin) / side)
     cell = iy * nx + ix
-    order = np.argsort(cell, kind="stable")
     counts = np.bincount(cell, minlength=nx * ny)
+    if 9 * counts.max() >= k:
+        # a clump: some neighbourhood holds about every point, so each
+        # query takes every point and the table stays one row
+        return np.arange(k)[None, :], np.zeros(queries.shape[1], dtype=np.intp), \
+            np.full(queries.shape[1], np.inf)
+    order = np.argsort(cell, kind="stable")
     rank = np.arange(k) - (np.cumsum(counts) - counts)[cell[order]]
     # each cell's points, padded with k, on the grid plus a ring of empty cells
     grid = np.full((ny + 2, nx + 2, counts.max()), k)

@@ -583,20 +583,29 @@ def test_grid_stays_small_on_degenerate_layouts():
     assert table.shape[0] == 32
     assert table.shape[1] <= 3 * math.ceil(1000 / 32)
     assert rows.max() < 32
-    # 50 coincident points: one cell, every point a candidate, no edge
+    # 50 coincident points, then 299 at one point and one far off: every
+    # point a candidate of every query, with no edge
     point = np.full((2, 50), 7.5)
-    table, rows, margin = protocols._grid_candidates(point, queries)
-    assert table.tolist() == [list(range(50))]
-    assert np.isinf(margin).all()
+    clump = np.full((2, 300), 5.0)
+    clump[:, -1] = 95.0
+    for points in (point, clump):
+        table, rows, margin = protocols._grid_candidates(points, queries)
+        assert table.tolist() == [list(range(points.shape[1]))]
+        assert rows.tolist() == [0] * 50
+        assert np.isinf(margin).all()
 
 
 def test_grid_search_matches_a_pairwise_scan_on_degenerate_layouts():
-    # 1000 collinear CHs among 200 members, past the cutoff; then 50
+    # 1000 collinear CHs among 200 members, then 299 CHs at one point and
+    # one far off among 300 members, both past the cutoff; then 50
     # coincident CHs
     positions = [(0.1 * i, 20.0) for i in range(1000)]
     positions += [(0.5 * i, 10.0 + i % 20) for i in range(200)]
     net = make_network(positions, bs=(30.0, 60.0))
     assert_same_search(net, np.arange(1000))
+    positions = [(5.0, 5.0)] * 299 + [(95.0, 95.0)] + [(i / 3.0, 50.0) for i in range(300)]
+    net = make_network(positions, bs=(50.0, 0.0))
+    assert_same_search(net, np.arange(300))
     net = make_network([(7.5, 7.5)] * 50 + [(float(i), 3.0) for i in range(30)])
     with grid_from_any_size():
         assert_same_search(net, np.arange(50))
