@@ -238,8 +238,8 @@ def form_clusters(network: Network, ch_ids) -> Clusters:
 
 # Searches over fewer rows x CHs than this take one dense block: below it,
 # bucketing the CHs costs more than the block saves. Measured inside whole
-# runs, the two break even at about 100 CHs for cluster formation (about
-# 9 members per CH) and about 250 CHs for TEEN's next hops.
+# runs on a 2-vCPU host, the two break even at about 100 CHs for cluster
+# formation (about 9 members per CH) and 250 CHs for TEEN's next hops.
 _GRID_MIN_BLOCK = 1 << 16
 # CHs per grid cell when they spread over a square
 _CHS_PER_CELL = 1.0
@@ -350,8 +350,8 @@ def _grid_candidates(points: np.ndarray,
     if 9 * counts.max() >= k:
         # a clump: some neighbourhood holds about every point, so each
         # query takes every point and the table stays one row
-        return np.arange(k)[None, :], np.zeros(queries.shape[1], dtype=np.intp), \
-            np.full(queries.shape[1], np.inf)
+        q = queries.shape[1]
+        return np.arange(k)[None, :], np.zeros(q, dtype=np.intp), np.full(q, np.inf)
     order = np.argsort(cell, kind="stable")
     rank = np.arange(k) - (np.cumsum(counts) - counts)[cell[order]]
     # each cell's points, padded with k, on the grid plus a ring of empty cells
