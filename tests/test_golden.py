@@ -14,8 +14,8 @@ and no-CH report takes the multipath branch, and SEP's two class epochs wrap
 under that load. The grid cases run N = 1600 for 10 rounds: about 160 CHs
 a round, so cluster formation buckets the CHs into grid cells. The
 grid-bs-off-field case elects about 320 CHs a round, so TEEN's next-hop
-search buckets them too, and with the base station off the field many CHs
-find no closer-to-BS CH among their neighbouring cells' and search them all.
+search buckets them too; with the base station off the field, many CHs
+find no closer-to-BS CH in their 3x3 cells and search every CH.
 """
 
 import hashlib
