@@ -16,6 +16,11 @@ a round, so cluster formation buckets the CHs into grid cells. The
 grid-bs-off-field case elects about 320 CHs a round, so TEEN's next-hop
 search buckets them too; with the base station off the field, many CHs
 find no closer-to-BS CH in their 3x3 cells and search every CH.
+
+The topology digests pin `write_topology_csv`'s bytes, so they pin
+`deploy`'s positions, class split and energies: one node on a non-square
+field, no advanced nodes, only advanced nodes, and a non-square field with
+a fractional advanced share and an energy factor whose product rounds.
 """
 
 import hashlib
@@ -25,7 +30,7 @@ import json
 import pytest
 
 from wsnsim.engine import run_simulation, summary_dict, write_trace_csv
-from wsnsim.network import NetworkConfig
+from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import Protocol, make_protocol
 
 CONFIGS = {
@@ -63,6 +68,26 @@ GOLDEN = {
     ("grid-bs-off-field", "teen", 1): "17e4bc5647a60f9edd5752cd3d4dd9cda60e421065e84446e71199094c4f5023",
 }
 
+TOPOLOGY_CONFIGS = {
+    "one-node": NetworkConfig(node_count=1, field_width=7.5, field_height=3.25),
+    "all-normal": NetworkConfig(node_count=30, adv_fraction=0.0),
+    "all-advanced": NetworkConfig(node_count=30, initial_energy=0.3, adv_fraction=1.0,
+                                  adv_energy_factor=0.7),
+    "non-square": NetworkConfig(node_count=500, field_width=333.3, field_height=47.5,
+                                initial_energy=0.3, adv_fraction=0.37, adv_energy_factor=0.7),
+}
+
+TOPOLOGY_GOLDEN = {
+    ("small", 1): "b1a32b6dafb02699e40f1ce71ae56ddce0cf8ac2163b192f4df1490ba251dfea",
+    ("small", 2): "04a95faf65b15b5cb4e38e373df948486041ee82c541e8eb3c455633e776747f",
+    ("sep-certain", 1): "9f82b19edbc1b7b860548ed3762887b436aae18dbe27f26e76a9c6004f7c0bc0",
+    ("grid", 1): "4b7cfa7cb33d0c891ff626610c1cd3519ea6f1c80c47b78b23440a6c760c391d",
+    ("one-node", 1): "d64b4aa203b70f92357df3a51d3885c55e6503a1552a5855c76aaefd8f41d1fa",
+    ("all-normal", 1): "49e3ef5855c3d33acd9d39a249933f189d73c1cea0a7d30568b218163d213b9f",
+    ("all-advanced", 1): "81d9c9dec4e1fa91170a1092e6eb83b50e2ee07f150fb357d9e82aa1e35f8046",
+    ("non-square", 1): "96923af3c6deb0e25ae93765bfd0e39dec9cce8ca97d448af3fb2c3cd0bdc55a",
+}
+
 
 def output_digest(result) -> str:
     buf = io.StringIO()
@@ -76,6 +101,14 @@ def test_output_digest_is_pinned(config_name, protocol, seed):
     cfg = CONFIGS[config_name]
     result = run_simulation(cfg, make_protocol(protocol, cfg), seed)
     assert output_digest(result) == GOLDEN[config_name, protocol, seed]
+
+
+@pytest.mark.parametrize("config_name,seed", sorted(TOPOLOGY_GOLDEN))
+def test_topology_digest_is_pinned(config_name, seed):
+    cfg = {**CONFIGS, **TOPOLOGY_CONFIGS}[config_name]
+    buf = io.StringIO()
+    deploy(cfg, seed).write_topology_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TOPOLOGY_GOLDEN[config_name, seed]
 
 
 def test_small_config_reaches_the_rare_paths():
