@@ -43,13 +43,15 @@ def parse_seeds(spec: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo, hi = (int(bound) for bound in part.split("..", 1))
-            if hi < lo:
-                raise ValueError(f"reversed seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
+        try:
+            bounds = [int(bound) for bound in part.split("..", 1)]
+        except ValueError:
+            raise ValueError(f"--seeds takes integers such as 7, 1,2,5 or 1..20, "
+                             f"got {part!r}") from None
+        lo, hi = bounds[0], bounds[-1]
+        if hi < lo:
+            raise ValueError(f"reversed seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ValueError(f"no seeds in {spec!r}")
     _reject_repeats("seed", seeds)

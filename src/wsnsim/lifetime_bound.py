@@ -404,6 +404,8 @@ def bound_for_simulated_network(network: Network, k_max: int = MAX_ROUNDS,
     d0 = crossover_distance(radio)
     if max_range is None:
         max_range = math.hypot(config.field_width, config.field_height)
+    elif not (math.isfinite(max_range) and max_range > 0):
+        raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
     bits = config.packet_bits
     e_near = tx_energy(radio, bits, 0.0)
     e_far = tx_energy(radio, bits, d0)
@@ -414,7 +416,7 @@ def bound_for_simulated_network(network: Network, k_max: int = MAX_ROUNDS,
         n_ranges=2,
         k_max=k_max,
         range_energies=(e_near, e_far),
-        budget=max(n.initial_energy for n in network.nodes),
+        budget=float(network.initial_energy.max()),
         coverage=coverage,
     )
 

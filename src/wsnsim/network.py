@@ -1,11 +1,12 @@
 """Node population, field deployment and geometry.
 
-Node positions never change, so each node's distance to the base station
-is computed once at deployment. Node-to-node distances are computed on
+The deployment (positions, class, initial energy) and each run's node
+state (residual energy, liveness, CH eligibility, TEEN's last reported
+value) live in numpy arrays on the `Network`, indexed by node id. Node
+positions never change, so each node's distance to the base station is
+computed once at deployment. Node-to-node distances are computed on
 demand, one block per query (`Network.distances`), so memory stays O(N)
-plus the block. Per-run mutable state (residual energy, liveness, CH
-eligibility, TEEN's last reported value) lives in numpy arrays on the
-`Network`, indexed by node id; `Node` is the immutable deployment record.
+plus the block. Every distance goes through `euclidean`.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class Node:
-    """One sensor node as deployed; its per-run state lives on the `Network`."""
+    """One deployed node as a record; `Network.nodes` builds these from its arrays."""
 
     id: int
     position: tuple[float, float]
@@ -99,44 +100,57 @@ class Node:
     initial_energy: float
 
 
-def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+def euclidean(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx^2 + dy^2) elementwise, in place (into `dx`; `dy` is clobbered).
+    wsnsim's one distance formula, so each pair of points has one set of bits."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 class Network:
     """Deployed node population plus one run's node state, as arrays by id.
 
-    `residual`, `alive`, `eligible` (for CH duty) and `teen_last_sent`
-    (NaN until a node's first TEEN report) change as a run proceeds;
-    `x`, `y`, `dist_to_bs` and `advanced` are fixed.
+    `x`, `y`, `advanced`, `initial_energy` and `dist_to_bs` are fixed and
+    read-only; `residual`, `alive`, `eligible` (for CH duty) and
+    `teen_last_sent` (NaN until a node's first TEEN report) change as a run
+    proceeds.
     """
 
-    def __init__(self, config: NetworkConfig, nodes: list[Node]):
+    def __init__(self, config: NetworkConfig, x, y, advanced, initial_energy):
         self.config = config
-        self.nodes = nodes
-        pos = np.array([n.position for n in nodes], dtype=float).reshape(-1, 2)
-        self.x, self.y = pos.T.copy()
-        bs = np.array(config.bs_position, dtype=float)
-        self.dist_to_bs = np.sqrt(((pos - bs) ** 2).sum(axis=1))
-        self.advanced = np.array([n.node_class == ADVANCED for n in nodes], dtype=bool)
-        self.residual = np.array([n.initial_energy for n in nodes], dtype=float)
-        self.alive = np.ones(len(nodes), dtype=bool)
-        self.eligible = np.ones(len(nodes), dtype=bool)
-        self.teen_last_sent = np.full(len(nodes), np.nan)
+        n = config.node_count
+        for name, values in (("x", x), ("y", y), ("advanced", advanced),
+                             ("initial_energy", initial_energy)):
+            values = np.array(values, dtype=bool if name == "advanced" else float)
+            if values.shape != (n,):
+                raise ValueError(f"{name} has shape {values.shape}, but node_count is {n}")
+            values.flags.writeable = False
+            setattr(self, name, values)
+        bs_x, bs_y = config.bs_position
+        self.dist_to_bs = euclidean(self.x - bs_x, self.y - bs_y)
+        self.dist_to_bs.flags.writeable = False
+        self.residual = self.initial_energy.copy()
+        self.alive = np.ones(n, dtype=bool)
+        self.eligible = np.ones(n, dtype=bool)
+        self.teen_last_sent = np.full(n, np.nan)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The deployment as `Node` records, built from the arrays on each call,
+        for callers outside wsnsim that read records; wsnsim reads the arrays."""
+        return tuple(Node(i, (x, y), cls, energy) for i, x, y, cls, energy in self._rows())
+
+    def _rows(self):
+        """(id, x, y, class, initial energy) per node, as Python values."""
+        return zip(range(len(self.x)), self.x.tolist(), self.y.tolist(),
+                   np.where(self.advanced, ADVANCED, NORMAL).tolist(), self.initial_energy.tolist())
 
     def distances(self, rows, cols) -> np.ndarray:
-        """Distances from each node in `rows` to each node in `cols`.
-
-        Entry [i, j] is sqrt(dx^2 + dy^2) with dx = x[rows[i]] - x[cols[j]]:
-        the same float operations, so the same bits, for every query.
-        """
-        dx = self.x[rows][:, None] - self.x[cols]
-        dy = self.y[rows][:, None] - self.y[cols]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return np.sqrt(dx, out=dx)
+        """Distances from each node in `rows` to each node in `cols`."""
+        return euclidean(self.x[rows][:, None] - self.x[cols],
+                         self.y[rows][:, None] - self.y[cols])
 
     def total_residual_energy(self) -> float:
         return math.fsum(self.residual.tolist())
@@ -144,9 +158,7 @@ class Network:
     def write_topology_csv(self, stream: TextIO) -> None:
         """Export the deployment as CSV: id, x, y, class, initial_energy."""
         stream.write("id,x,y,class,initial_energy\n")
-        for n in self.nodes:
-            stream.write(f"{n.id},{n.position[0]!r},{n.position[1]!r},"
-                         f"{n.node_class},{n.initial_energy!r}\n")
+        stream.writelines("%d,%r,%r,%s,%r\n" % row for row in self._rows())
 
 
 def deploy(config: NetworkConfig, seed: int) -> Network:
@@ -159,31 +171,25 @@ def deploy(config: NetworkConfig, seed: int) -> Network:
     """
     rng = random.Random(f"deploy:{seed}")
     n = config.node_count
-    positions = [(rng.uniform(0.0, config.field_width),
-                  rng.uniform(0.0, config.field_height)) for _ in range(n)]
+    # x then y per node, as Random.uniform(0.0, side) computes them
+    draws = np.array([rng.random() for _ in range(2 * n)]).reshape(n, 2)
+    x = 0.0 + (config.field_width - 0.0) * draws[:, 0]
+    y = 0.0 + (config.field_height - 0.0) * draws[:, 1]
     order = list(range(n))
     rng.shuffle(order)
-    n_advanced = math.floor(config.adv_fraction * n)
-    advanced_ids = set(order[:n_advanced])
-
-    nodes = []
-    for i, pos in enumerate(positions):
-        if i in advanced_ids:
-            energy = config.initial_energy * (1.0 + config.adv_energy_factor)
-            cls = ADVANCED
-        else:
-            energy = config.initial_energy
-            cls = NORMAL
-        nodes.append(Node(id=i, position=pos, node_class=cls, initial_energy=energy))
-    return Network(config, nodes)
+    advanced = np.zeros(n, dtype=bool)
+    advanced[order[:math.floor(config.adv_fraction * n)]] = True
+    energy = np.where(advanced, config.initial_energy * (1.0 + config.adv_energy_factor),
+                      config.initial_energy)
+    return Network(config, x, y, advanced, energy)
 
 
 def _parse_scalar(key: str, raw: str):
     """Parse one config value; only energy keys accept a unit suffix (nJ, pJ...)."""
     text = raw.strip()
-    if key in _ENERGY_KEYS:
-        return _parse_energy(text)
     try:
+        if key in _ENERGY_KEYS:
+            return _parse_energy(text)
         if key == "bs_position":
             x, y = text.replace(",", " ").split()
             return (float(x), float(y))
@@ -191,9 +197,10 @@ def _parse_scalar(key: str, raw: str):
             return int(text)
         return float(text)
     except ValueError:
-        expected = "two numbers" if key == "bs_position" else "a number"
-        raise ValueError(f"{key} needs {expected} without a unit (unit suffixes are "
-                         f"for energy keys only), got {raw!r}") from None
+        kind = "two numbers" if key == "bs_position" else "an integer" if key in _INT_KEYS else "a number"
+        unit = ("optionally with a unit suffix (J, mJ, uJ, nJ or pJ)" if key in _ENERGY_KEYS
+                else "without a unit (unit suffixes are for energy keys only)")
+        raise ValueError(f"{key} needs {kind} {unit}, got {raw!r}") from None
 
 
 def _parse_energy(text: str) -> float:
@@ -202,14 +209,8 @@ def _parse_energy(text: str) -> float:
         head = lowered[: -len(suffix)]
         if lowered.endswith(suffix) and head:
             if "e" in head and exponent:
-                try:
-                    return float(head) * float("1" + exponent)
-                except ValueError:
-                    break
-            try:
-                return float(head + exponent)
-            except ValueError:
-                break
+                return float(head) * float("1" + exponent)
+            return float(head + exponent)
     return float(text)
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import Network
+from .network import Network, euclidean
 
 
 PROTOCOL_NAMES = ("leach", "teen", "sep", "deec")
@@ -104,7 +104,6 @@ def _class_round(p: float, r_mod: int) -> tuple[bool, float]:
     return r_mod == 0, float(_ramp(p, r_mod))
 
 
-@lru_cache(maxsize=None)
 def sep_probabilities(p_opt: float, m: float, alpha: float) -> tuple[float, float]:
     """Class-weighted CH probabilities (p_nrm, p_adv).
 
@@ -253,9 +252,9 @@ def _nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
     nearest CH and the distance to it; ties go to the lowest id.
 
     With `closer_to_bs`, only CHs strictly closer to the BS than the row's
-    node count, and a row with none gets index 0 at distance inf. Distances
-    are `Network.distances`' float operations, so they have its bits. From
-    `_GRID_MIN_BLOCK` rows x CHs on, each row searches only the CHs in its 3x3
+    node count, and a row with none gets index 0 at distance inf. The dense
+    and grid paths both compute distances with `euclidean`, so with the same
+    bits. From `_GRID_MIN_BLOCK` rows x CHs on, each row searches only the CHs in its 3x3
     neighbourhood of grid cells; a row whose best candidate is not nearer
     than the neighbourhood's edge (with a relative slack of 1e-9) searches
     every CH instead, so the answer is always the dense block's.
@@ -275,15 +274,10 @@ def _nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
     for start in range(0, len(rows), step):
         part = rows[start:start + step]
         cand = table[qcell[start:start + step]]
-        # Network.distances' float operations, so its bits
         dx = cx[cand]
-        np.subtract(x[part][:, None], dx, out=dx)
         dy = cy[cand]
-        np.subtract(y[part][:, None], dy, out=dy)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        block = np.sqrt(dx, out=dx)
+        block = euclidean(np.subtract(x[part][:, None], dx, out=dx),
+                          np.subtract(y[part][:, None], dy, out=dy))
         if closer_to_bs:
             block[~(cbs[cand] < to_bs[part][:, None])] = np.inf
         picked = np.arange(len(part)), block.argmin(axis=1)

@@ -241,6 +241,33 @@ def test_parse_seeds_rejects_reversed_range():
             parse_seeds(spec)
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--override", "e_elec=abc"], "e_elec"),
+    (["--override", "initial_energy="], "initial_energy"),
+    (["--override", "packet_bits=4000.5"], "packet_bits"),
+    (["--seeds", "a"], "--seeds"),
+    (["--seeds", "1..b"], "--seeds"),
+])
+def test_bad_value_names_its_key_before_any_file(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    code = run_cli("run", *flags, "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_range", ["-5", "0", "nan", "inf"])
+def test_bad_max_range_rejected_before_any_file(tmp_path, capsys, max_range):
+    out = tmp_path / "out"
+    code = run_cli("bound", "--from-network", "--max-range", max_range, "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "max_range" in captured.err
+    assert "K* =" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_zero_max_rounds_rejected_before_any_file(tmp_path, capsys, command):
     out = tmp_path / "out"

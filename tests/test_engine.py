@@ -12,16 +12,16 @@ from wsnsim.engine import (
     run_simulation,
     write_trace_csv,
 )
-from wsnsim.network import NORMAL, Network, NetworkConfig, Node, deploy
+from wsnsim.network import Network, NetworkConfig, deploy
 from wsnsim.protocols import Protocol, make_protocol
 
 
 def make_network(positions, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
     cfg = NetworkConfig(node_count=len(positions), bs_position=bs,
                         initial_energy=energy, **cfg_kwargs)
-    nodes = [Node(id=i, position=p, node_class=NORMAL, initial_energy=energy)
-             for i, p in enumerate(positions)]
-    return Network(cfg, nodes)
+    x, y = np.array(positions, dtype=float).T
+    n = len(positions)
+    return Network(cfg, x, y, np.zeros(n, dtype=bool), np.full(n, energy))
 
 
 class ScriptedRng:
@@ -183,7 +183,7 @@ def test_energy_ledger_closes_every_round():
     cfg = NetworkConfig(node_count=25, initial_energy=0.02, max_rounds=400)
     result = run_simulation(cfg, make_protocol("deec", cfg), seed=3)
     assert not result.censored
-    totals = [sum(n.initial_energy for n in deploy(cfg, 3).nodes)]
+    totals = [sum(deploy(cfg, 3).initial_energy.tolist())]
     totals += [m.total_residual_energy for m in result.trace]
     for before, after, debit in zip(totals, totals[1:], result.round_debits):
         assert before - after == pytest.approx(debit, abs=1e-9)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from wsnsim.lifetime_bound import (
     verify_schedule,
 )
 from wsnsim.metrics import network_lifetime
-from wsnsim.network import NORMAL, Network, NetworkConfig, Node, deploy
+from wsnsim.network import Network, NetworkConfig, deploy
 from wsnsim.engine import run_simulation
 from wsnsim.protocols import make_protocol
 
@@ -370,9 +371,7 @@ def test_instance_text_rejects_garbage():
 def co_located_network(n, energy, bs=(50.0, 50.0)):
     cfg = NetworkConfig(node_count=n, bs_position=bs, initial_energy=energy,
                         adv_fraction=0.0, max_rounds=100)
-    nodes = [Node(id=i, position=bs, node_class=NORMAL, initial_energy=energy)
-             for i in range(n)]
-    return Network(cfg, nodes)
+    return Network(cfg, [bs[0]] * n, [bs[1]] * n, [False] * n, [energy] * n)
 
 
 def test_colocated_node_bound_is_budget_quotient():
@@ -388,11 +387,17 @@ def test_colocated_node_bound_is_budget_quotient():
 
 def test_out_of_range_node_gives_zero_bound():
     cfg = NetworkConfig(node_count=1, bs_position=(0.0, 0.0), adv_fraction=0.0)
-    nodes = [Node(id=0, position=(90.0, 90.0), node_class=NORMAL, initial_energy=0.5)]
-    net = Network(cfg, nodes)
+    net = Network(cfg, [90.0], [90.0], [False], [0.5])
     instance = bound_for_simulated_network(net, max_range=10.0)
     k_star, _ = solve_exact(instance)
     assert k_star == 0
+
+
+@pytest.mark.parametrize("max_range", [-5.0, 0.0, math.nan, math.inf])
+def test_bad_max_range_is_rejected(max_range):
+    net = co_located_network(2, energy=0.5)
+    with pytest.raises(ValueError, match="max_range"):
+        bound_for_simulated_network(net, max_range=max_range)
 
 
 def test_simulated_lifetime_never_exceeds_bound():

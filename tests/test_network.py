@@ -6,34 +6,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
+import wsnsim
 from wsnsim.energy_model import RadioParams
 from wsnsim.network import (
-    ADVANCED,
-    NORMAL,
+    Network,
     NetworkConfig,
     config_as_items,
     config_from_items,
     deploy,
-    distance,
     load_config,
 )
 
 
 def test_deploy_population_split():
     net = deploy(NetworkConfig(), seed=1)
-    classes = [n.node_class for n in net.nodes]
-    assert classes.count(ADVANCED) == 10
-    assert classes.count(NORMAL) == 90
-    for n in net.nodes:
-        assert 0.0 <= n.position[0] <= 100.0
-        assert 0.0 <= n.position[1] <= 100.0
+    assert net.advanced.sum() == 10
+    assert ((0.0 <= net.x) & (net.x <= 100.0)).all()
+    assert ((0.0 <= net.y) & (net.y <= 100.0)).all()
 
 
 def test_deploy_single_normal_node():
     cfg = NetworkConfig(node_count=1, adv_fraction=0.0)
     net = deploy(cfg, seed=9)
-    (node,) = net.nodes
-    assert node.node_class == NORMAL
+    assert net.advanced.tolist() == [False]
     assert net.residual[0] == cfg.initial_energy
 
 
@@ -41,8 +38,45 @@ def test_deploy_is_deterministic():
     cfg = NetworkConfig()
     a = deploy(cfg, seed=42)
     b = deploy(cfg, seed=42)
-    assert [(n.id, n.position, n.node_class, n.initial_energy) for n in a.nodes] == \
-           [(n.id, n.position, n.node_class, n.initial_energy) for n in b.nodes]
+    for name in ("x", "y", "advanced", "initial_energy"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist()
+
+
+def test_deploy_fixes_the_deployment():
+    net = deploy(NetworkConfig(node_count=5), seed=2)
+    for name in ("x", "y", "advanced", "initial_energy", "dist_to_bs"):
+        with pytest.raises(ValueError):
+            getattr(net, name)[0] = 1
+    net.residual[0] = 0.0
+    assert net.initial_energy[0] > 0.0
+
+
+def test_nodes_view_matches_the_arrays():
+    net = deploy(NetworkConfig(node_count=20, adv_fraction=0.3), seed=4)
+    assert [(n.id, n.position, n.node_class == "advanced", n.initial_energy)
+            for n in net.nodes] == \
+        list(zip(range(20), zip(net.x.tolist(), net.y.tolist()), net.advanced.tolist(),
+                 net.initial_energy.tolist()))
+
+
+@pytest.mark.parametrize("name", ["x", "y", "advanced", "initial_energy"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_network_rejects_arrays_of_the_wrong_length(name, length):
+    columns = {"x": [1.0, 2.0, 3.0], "y": [4.0, 5.0, 6.0], "advanced": [False] * 3,
+               "initial_energy": [0.5] * 3}
+    columns[name] = columns[name][:1] * length
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        Network(NetworkConfig(node_count=3), **columns)
+
+
+def test_network_rejects_arrays_longer_than_node_count():
+    with pytest.raises(ValueError, match="x has shape"):
+        Network(NetworkConfig(node_count=2), [1.0] * 3, [1.0] * 3, [False] * 3, [0.5] * 3)
+
+
+def test_every_exported_name_resolves():
+    for name in wsnsim.__all__:
+        assert hasattr(wsnsim, name), name
 
 
 def test_deploy_rejects_bad_config():
@@ -55,22 +89,9 @@ def test_deploy_rejects_bad_config():
 def test_advanced_energy_scaling():
     cfg = NetworkConfig(adv_fraction=0.2, adv_energy_factor=2.0)
     net = deploy(cfg, seed=3)
-    for n in net.nodes:
-        expected = cfg.initial_energy * (3.0 if n.node_class == ADVANCED else 1.0)
-        assert n.initial_energy == expected
-        assert net.residual[n.id] == expected
-
-
-def test_distance_triangle():
-    assert distance((0, 0), (3, 4)) == 5.0
-
-
-def test_distance_identity():
-    assert distance((12.5, -3.0), (12.5, -3.0)) == 0.0
-
-
-def test_distance_diagonal():
-    assert distance((0, 0), (100, 100)) == pytest.approx(141.4213562373095, rel=1e-12)
+    expected = cfg.initial_energy * np.where(net.advanced, 3.0, 1.0)
+    assert net.initial_energy.tolist() == expected.tolist()
+    assert net.residual.tolist() == expected.tolist()
 
 
 @given(st.integers(min_value=1, max_value=60),
@@ -79,14 +100,13 @@ def test_distance_diagonal():
 def test_advanced_count_is_floor(n, m, seed):
     cfg = NetworkConfig(node_count=n, adv_fraction=m)
     net = deploy(cfg, seed=seed)
-    advanced = sum(1 for node in net.nodes if node.node_class == ADVANCED)
-    assert advanced == math.floor(m * n)
+    assert net.advanced.sum() == math.floor(m * n)
 
 
 def test_total_initial_energy_heterogeneous():
     cfg = NetworkConfig()  # m*N = 10, integral
     net = deploy(cfg, seed=5)
-    total = sum(n.initial_energy for n in net.nodes)
+    total = sum(net.initial_energy.tolist())
     expected = cfg.node_count * cfg.initial_energy * (1 + cfg.adv_fraction * cfg.adv_energy_factor)
     assert total == pytest.approx(expected, rel=1e-12)
 
@@ -94,12 +114,12 @@ def test_total_initial_energy_heterogeneous():
 def test_precomputed_geometry_matches_distance():
     net = deploy(NetworkConfig(node_count=12), seed=7)
     block = net.distances(range(12), range(12))
+    x, y = net.x.tolist(), net.y.tolist()
+    bs_x, bs_y = net.config.bs_position
     for a in range(12):
         for b in range(12):
-            assert block[a, b] == pytest.approx(
-                distance(net.nodes[a].position, net.nodes[b].position), abs=1e-12)
-        assert net.dist_to_bs[a] == pytest.approx(
-            distance(net.nodes[a].position, net.config.bs_position), abs=1e-12)
+            assert block[a, b] == pytest.approx(math.hypot(x[a] - x[b], y[a] - y[b]), abs=1e-12)
+        assert net.dist_to_bs[a] == pytest.approx(math.hypot(x[a] - bs_x, y[a] - bs_y), abs=1e-12)
 
 
 def test_topology_csv_shape():
@@ -203,4 +223,17 @@ def test_nan_energy_is_rejected_before_a_run():
                                      ("bs_position", "50J, 50")])
 def test_unit_suffix_only_on_energy_keys(key, raw):
     with pytest.raises(ValueError, match=key):
+        config_from_items({key: raw})
+
+
+@pytest.mark.parametrize("key,raw,expected", [
+    ("e_elec", "abc", "a number optionally with a unit"),
+    ("initial_energy", "", "a number optionally with a unit"),
+    ("initial_energy", "0.5 kJ", "a number optionally with a unit"),
+    ("packet_bits", "4000.5", "an integer"),
+    ("node_count", "ten", "an integer"),
+    ("bs_position", "50", "two numbers"),
+])
+def test_bad_values_name_their_key(key, raw, expected):
+    with pytest.raises(ValueError, match=f"^{key} needs {expected}.*got {raw!r}"):
         config_from_items({key: raw})

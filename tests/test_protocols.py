@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsnsim import protocols
-from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, Node, deploy
+from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, deploy
 from wsnsim.protocols import (
     Protocol,
     deec_probability,
@@ -28,9 +28,8 @@ from wsnsim.protocols import (
 def make_network(positions, classes=None, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
     cfg = NetworkConfig(node_count=len(positions), bs_position=bs, **cfg_kwargs)
     classes = classes or [NORMAL] * len(positions)
-    nodes = [Node(id=i, position=p, node_class=c, initial_energy=energy)
-             for i, (p, c) in enumerate(zip(positions, classes))]
-    return Network(cfg, nodes)
+    x, y = np.array(positions, dtype=float).T
+    return Network(cfg, x, y, [c == ADVANCED for c in classes], np.full(len(positions), energy))
 
 
 def assignment(clusters):
@@ -238,7 +237,7 @@ def test_elected_draw_below_threshold():
 def test_each_node_elected_exactly_once_per_epoch():
     net = deploy(NetworkConfig(node_count=20), seed=11)
     rng = random.Random(5)
-    elected = {n.id: 0 for n in net.nodes}
+    elected = dict.fromkeys(range(20), 0)
     for r in range(10):
         outcome = elect_cluster_heads(net, Protocol("leach"), r, rng)
         for ch in outcome.ch_ids:
@@ -349,7 +348,7 @@ def test_form_clusters_requires_chs():
 def test_form_clusters_total_on_alive_non_chs(n, seed):
     net = deploy(NetworkConfig(node_count=n), seed=seed)
     rng = random.Random(seed)
-    dead = [node.id for node in net.nodes if rng.random() < 0.2]
+    dead = [i for i in range(n) if rng.random() < 0.2]
     net.alive[dead[: n - 1]] = False
     alive_ids = np.flatnonzero(net.alive).tolist()
     ch_ids = alive_ids[: max(1, len(alive_ids) // 3)]
