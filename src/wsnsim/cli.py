@@ -50,10 +50,10 @@ def parse_seeds(spec: str) -> list[int]:
                              f"got {part!r}") from None
         lo, hi = bounds[0], bounds[-1]
         if hi < lo:
-            raise ValueError(f"reversed seed range {part!r}")
+            raise ValueError(f"--seeds has a reversed range {part!r}")
         seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ValueError(f"no seeds in {spec!r}")
+        raise ValueError(f"--seeds lists no seeds: {spec!r}")
     _reject_repeats("seed", seeds)
     return seeds
 

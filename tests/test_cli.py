@@ -247,6 +247,8 @@ def test_parse_seeds_rejects_reversed_range():
     (["--override", "packet_bits=4000.5"], "packet_bits"),
     (["--seeds", "a"], "--seeds"),
     (["--seeds", "1..b"], "--seeds"),
+    (["--seeds", "3..1"], "--seeds"),
+    (["--seeds", ","], "--seeds"),
 ])
 def test_bad_value_names_its_key_before_any_file(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
