@@ -252,12 +252,12 @@ def _nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
     nearest CH and the distance to it; ties go to the lowest id.
 
     With `closer_to_bs`, only CHs strictly closer to the BS than the row's
-    node count, and a row with none gets index 0 at distance inf. The dense
-    and grid paths both compute distances with `euclidean`, so with the same
-    bits. From `_GRID_MIN_BLOCK` rows x CHs on, each row searches only the CHs in its 3x3
+    node count, and a row with none gets index 0 at distance inf. From
+    `_GRID_MIN_BLOCK` rows x CHs on, each row searches only the CHs in its 3x3
     neighbourhood of grid cells; a row whose best candidate is not nearer
     than the neighbourhood's edge (with a relative slack of 1e-9) searches
-    every CH instead, so the answer is always the dense block's.
+    every CH instead. Both paths compute distances with `euclidean`, so the
+    answer is always the dense block's, to the bit.
     """
     if len(rows) * len(chs) < _GRID_MIN_BLOCK:
         return _dense_nearest_ch(network, rows, chs, closer_to_bs)
