@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .engine import TRACE_COLUMNS, run_simulation, write_summary_json, write_trace_csv
 from .lifetime_bound import (
-    InstanceTooLargeError,
     bound_for_simulated_network,
     instance_from_text,
     instance_to_text,
@@ -26,7 +25,7 @@ from .lifetime_bound import (
     solve_exact,
 )
 from .metrics import aggregate, network_lifetime, write_summary_stats_csv
-from .network import NetworkConfig, config_as_items, config_from_items, deploy, load_config
+from .network import NetworkConfig, config_as_items, config_from_items, deploy, load_config, split_entry
 from .protocols import Protocol, make_protocol
 
 
@@ -69,14 +68,8 @@ def parse_protocols(spec: str) -> list[Protocol]:
 def _load_effective_config(args) -> NetworkConfig:
     """The config file (or defaults), then --override, --max-rounds and bound's --nodes."""
     config = load_config(args.config) if args.config else NetworkConfig()
-    if args.override:
-        items = {}
-        for entry in args.override:
-            if "=" not in entry:
-                raise ValueError(f"override must be key=value, got {entry!r}")
-            key, value = entry.split("=", 1)
-            items[key.strip()] = value
-        config = config_from_items(items, base=config)
+    config = config_from_items(dict(split_entry(entry, "--override") for entry in args.override),
+                               base=config)
     if args.max_rounds is not None:
         config = replace(config, max_rounds=args.max_rounds)
     if args.command == "bound":
@@ -105,8 +98,7 @@ def _sweep(args) -> int:
     config = _load_effective_config(args)
     protocols = parse_protocols(args.protocol)
     if args.compare and len(protocols) < 2:
-        print("error: compare needs at least two protocols", file=sys.stderr)
-        return 2
+        raise ValueError("compare needs at least two protocols")
     seeds = parse_seeds(args.seeds)
     if config.max_rounds < 1:
         raise ValueError("max_rounds must be >= 1 to run a simulation")
@@ -147,11 +139,9 @@ def _sweep(args) -> int:
 
 def cmd_bound(args) -> int:
     if bool(args.instance) == args.from_network:
-        print("error: give either an instance file or --from-network", file=sys.stderr)
-        return 2
+        raise ValueError("give either an instance file or --from-network")
     if args.check_sim and not args.from_network:
-        print("error: --check-sim needs --from-network", file=sys.stderr)
-        return 2
+        raise ValueError("--check-sim needs --from-network")
     if args.from_network:
         config = _load_effective_config(args)
         network = deploy(config, args.seed)
@@ -160,11 +150,7 @@ def cmd_bound(args) -> int:
     else:
         instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
 
-    try:
-        k_star, schedule = solve_exact(instance)
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    k_star, schedule = solve_exact(instance)
     print(f"K* = {k_star}")
 
     out_dir = Path(args.out)
@@ -204,20 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--show-config", action="store_true",
                         help="print the effective config and exit")
 
-    run_p = sub.add_parser("run", parents=[common], help="run one or more protocols")
-    run_p.add_argument("--protocol", default="leach",
-                       help="comma-separated protocol list")
-    run_p.add_argument("--seeds", default="1", help="e.g. 7 or 1,2,5 or 1..20")
-    run_p.add_argument("--require-termination", action="store_true",
-                       help="fail if every run hits max_rounds with survivors")
-    run_p.set_defaults(func=_sweep, compare=False)
-
-    cmp_p = sub.add_parser("compare", parents=[common],
-                           help="run several protocols on shared topologies")
-    cmp_p.add_argument("--protocol", default="leach,teen,sep,deec")
-    cmp_p.add_argument("--seeds", default="1")
-    cmp_p.add_argument("--require-termination", action="store_true")
-    cmp_p.set_defaults(func=_sweep, compare=True)
+    for name, protocols, summary in (
+            ("run", "leach", "run one or more protocols"),
+            ("compare", "leach,teen,sep,deec", "run several protocols on shared topologies")):
+        sweep_p = sub.add_parser(name, parents=[common], help=summary)
+        sweep_p.add_argument("--protocol", default=protocols,
+                             help="comma-separated protocol list")
+        sweep_p.add_argument("--seeds", default="1", help="e.g. 7 or 1,2,5 or 1..20")
+        sweep_p.add_argument("--require-termination", action="store_true",
+                             help="fail if every run hits max_rounds with survivors")
+        sweep_p.set_defaults(func=_sweep, compare=name == "compare")
 
     bound_p = sub.add_parser("bound", parents=[common],
                              help="solve the exact lifetime bound on a tiny instance")

@@ -44,7 +44,6 @@ class RoundMetrics:
 TRACE_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 _trace_values = attrgetter(*TRACE_COLUMNS)
 _TRACE_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\n"
-_TRACE_TYPES = tuple(int if f.type == "int" else float for f in fields(RoundMetrics))
 
 
 @dataclass
@@ -183,7 +182,6 @@ def run_simulation(config: NetworkConfig, protocol: Protocol,
         if metrics.dead == n:
             last_death = metrics.round
             break
-    censored = last_death is None and len(trace) == config.max_rounds
     return SimulationResult(
         protocol=protocol.name,
         seed=seed,
@@ -193,7 +191,7 @@ def run_simulation(config: NetworkConfig, protocol: Protocol,
         first_death_round=first_death,
         last_death_round=last_death,
         total_packets_to_bs=sum(m.packets_to_bs for m in trace),
-        censored=censored,
+        censored=last_death is None,
     )
 
 
@@ -204,21 +202,6 @@ def write_trace_csv(result: SimulationResult, stream: TextIO) -> None:
     """
     stream.write(",".join(TRACE_COLUMNS) + "\n")
     stream.writelines(_TRACE_ROW % _trace_values(m) for m in result.trace)
-
-
-def read_trace_csv(stream: TextIO) -> list[RoundMetrics]:
-    header = stream.readline().strip().split(",")
-    if tuple(header) != TRACE_COLUMNS:
-        raise ValueError(f"unexpected trace header: {header}")
-    out = []
-    for line in stream:
-        parts = line.strip().split(",")
-        if parts == [""]:
-            continue
-        if len(parts) != len(TRACE_COLUMNS):
-            raise ValueError(f"trace row needs {len(TRACE_COLUMNS)} values, got {line.strip()!r}")
-        out.append(RoundMetrics(*(parse(v) for parse, v in zip(_TRACE_TYPES, parts))))
-    return out
 
 
 def summary_dict(result: SimulationResult) -> dict:

@@ -81,6 +81,7 @@ class BoundInstance:
             raise ValueError("coverage tensor must be n_sensors x n_ranges x n_chs")
 
     def check_solver_guards(self) -> None:
+        """The size guard of both solvers; instances past it can still be built."""
         if (self.n_sensors > MAX_SENSORS or self.n_chs > MAX_CHS
                 or self.n_ranges > MAX_RANGES or self.k_max > MAX_ROUNDS):
             raise InstanceTooLargeError(
@@ -393,14 +394,10 @@ def bound_for_simulated_network(network: Network, k_max: int = MAX_ROUNDS,
     cost. Both prices understate what any node actually pays per round in
     the simulator, and the budget is the richest node's initial energy, so
     the resulting optimum never falls below an achievable simulated
-    lifetime.
+    lifetime. Any N maps; the solvers refuse an instance past their guards.
     """
     config = network.config
     radio = config.radio
-    if config.node_count > MAX_SENSORS:
-        raise InstanceTooLargeError(
-            f"network has {config.node_count} nodes; the exact solver handles "
-            f"at most {MAX_SENSORS}")
     d0 = crossover_distance(radio)
     if max_range is None:
         max_range = math.hypot(config.field_width, config.field_height)
@@ -442,32 +439,38 @@ def instance_from_text(text: str) -> BoundInstance:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) < 3:
         raise ValueError("instance text too short")
-    try:
-        n, m, z_count, k_max = map(int, lines[0].split())
-    except ValueError:
-        raise ValueError(f"line 1 must hold four integers N M Z K, got {lines[0]!r}") from None
-    # here, not only in BoundInstance: an empty M or Z would first fail the row count
+    n, m, z_count, k_max = _line_values(lines, 1, int, 4, "four integers N M Z K")
+    # here, not only in BoundInstance: an empty M or Z would first fail line 2 or the row count
     _check_sizes(n_sensors=n, n_chs=m, n_ranges=z_count, k_max=k_max)
-    energies = tuple(float(tok) for tok in lines[1].split())
-    budget = float(lines[2])
+    energies = _line_values(lines, 2, float, z_count, f"Z = {z_count} range energies")
+    (budget,) = _line_values(lines, 3, float, 1, "one number, the budget E")
     rows = lines[3:]
     if len(rows) != n * z_count:
         raise ValueError(f"expected {n * z_count} coverage rows, got {len(rows)}")
-    coverage = []
-    for i in range(n):
-        per_range = []
-        for z in range(z_count):
-            toks = rows[i * z_count + z].split()
-            if len(toks) != m:
-                raise ValueError(f"coverage row {i * z_count + z} needs {m} entries")
-            if any(tok not in ("0", "1") for tok in toks):
-                raise ValueError(f"coverage row {i * z_count + z} must hold only 0 or 1, "
-                                 f"got {' '.join(toks)!r}")
-            per_range.append(tuple(tok == "1" for tok in toks))
-        coverage.append(tuple(per_range))
+    flags = []
+    for row_no, row in enumerate(rows):
+        toks = row.split()
+        if len(toks) != m:
+            raise ValueError(f"coverage row {row_no} needs {m} entries")
+        if any(tok not in ("0", "1") for tok in toks):
+            raise ValueError(f"coverage row {row_no} must hold only 0 or 1, "
+                             f"got {' '.join(toks)!r}")
+        flags.append(tuple(tok == "1" for tok in toks))
     return BoundInstance(n_sensors=n, n_chs=m, n_ranges=z_count, k_max=k_max,
                          range_energies=energies, budget=budget,
-                         coverage=tuple(coverage))
+                         coverage=tuple(tuple(flags[i * z_count:(i + 1) * z_count])
+                                        for i in range(n)))
+
+
+def _line_values(lines: list[str], line_no: int, parse, count: int, what: str) -> tuple:
+    """The `count` values on header line `line_no` (1-based), or an error naming the line."""
+    try:
+        values = tuple(parse(tok) for tok in lines[line_no - 1].split())
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ValueError(f"line {line_no} must hold {what}, got {lines[line_no - 1]!r}")
+    return values
 
 
 def schedule_to_text(schedule: Schedule) -> str:

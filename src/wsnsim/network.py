@@ -24,14 +24,14 @@ NORMAL = "normal"
 ADVANCED = "advanced"
 
 # accepted unit suffixes for energy values in config files / overrides
-# (longest first so "nj" wins over "j"); decimal exponents so "50nJ"
-# parses in one rounding step
+# (longest first so "nj" wins over "j"), as powers of ten that `_parse_energy`
+# adds to the value's own exponent: `5e1nJ`, `50nJ` and `0.05uJ` round once
 _ENERGY_UNITS = (
-    ("mj", "e-3"),
-    ("uj", "e-6"),
-    ("nj", "e-9"),
-    ("pj", "e-12"),
-    ("j", ""),
+    ("mj", -3),
+    ("uj", -6),
+    ("nj", -9),
+    ("pj", -12),
+    ("j", 0),
 )
 
 
@@ -205,12 +205,11 @@ def _parse_scalar(key: str, raw: str):
 
 def _parse_energy(text: str) -> float:
     lowered = text.lower().replace(" ", "")
-    for suffix, exponent in _ENERGY_UNITS:
+    for suffix, power in _ENERGY_UNITS:
         head = lowered[: -len(suffix)]
         if lowered.endswith(suffix) and head:
-            if "e" in head and exponent:
-                return float(head) * float("1" + exponent)
-            return float(head + exponent)
+            mantissa, e, exponent = head.partition("e")
+            return float(f"{mantissa}e{(int(exponent) if e else 0) + power}")
     return float(text)
 
 
@@ -238,18 +237,23 @@ def config_from_items(items: dict[str, str],
     return replace(base, **cfg_kwargs)
 
 
+def split_entry(entry: str, where: str, shown: Optional[str] = None) -> tuple[str, str]:
+    """Key (stripped) and raw value of `key = value`; without `=`, an error naming `where`."""
+    key, eq, raw = entry.partition("=")
+    if not eq:
+        raise ValueError(f"{where}: expected key = value, got {shown or entry!r}")
+    return key.strip(), raw
+
+
 def load_config(path: str, base: Optional[NetworkConfig] = None) -> NetworkConfig:
     """Read a flat `key = value` config file (# starts a comment)."""
     items: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{line_no}: expected key = value, got {line.rstrip()!r}")
-            key, raw = stripped.split("=", 1)
-            items[key.strip()] = raw
+            entry = line.split("#", 1)[0].strip()
+            if entry:
+                key, raw = split_entry(entry, f"{path}:{line_no}", line.rstrip())
+                items[key] = raw
     return config_from_items(items, base=base)
 
 

@@ -240,8 +240,6 @@ def form_clusters(network: Network, ch_ids) -> Clusters:
 # runs on a 2-vCPU host, the two break even at about 100 CHs for cluster
 # formation (about 9 members per CH) and 250 CHs for TEEN's next hops.
 _GRID_MIN_BLOCK = 1 << 16
-# CHs per grid cell when they spread over a square
-_CHS_PER_CELL = 1.0
 # candidate entries per row block of a grid search
 _GRID_BLOCK_ENTRIES = 8192
 
@@ -311,24 +309,23 @@ def _grid_candidates(points: np.ndarray,
     """Bucket `points` (2 x k: x, then y) into a uniform grid and give each
     query (2 x q) its candidate points.
 
-    The grid covers the points' bounding box in square cells, about
-    `_CHS_PER_CELL` points to a cell when they spread over a square. The
-    side comes from the box's larger extent, so there are at most
-    (ceil(sqrt(k / _CHS_PER_CELL)))^2 cells even when the points are
-    collinear or coincide. Returns a table with one row per cell, holding
-    in ascending order the indexes of the points in that cell's 3x3
-    neighbourhood, padded with k; each query's row in it (its cell,
-    clamped into the grid); and each query's margin, its distance to that
-    neighbourhood's outer edge (inf on a side at the grid's border) less a
-    rounding slack. No point outside a query's row lies nearer than its
-    margin. When one cell holds a ninth of the points or more, the table
+    The grid covers the points' bounding box in square cells, about one
+    point to a cell when they spread over a square. The side comes from the
+    box's larger extent, so there are at most (ceil(sqrt(k)))^2 cells even
+    when the points are collinear or coincide. Returns a table with one row
+    per cell, holding in ascending order the indexes of the points in that
+    cell's 3x3 neighbourhood, padded with k; each query's row in it (its
+    cell, clamped into the grid); and each query's margin, its distance to
+    that neighbourhood's outer edge (inf on a side at the grid's border)
+    less a rounding slack. No point outside a query's row lies nearer than
+    its margin. When one cell holds a ninth of the points or more, the table
     is a single row of every point and every margin is inf, so the table
     never holds more than cells x k entries.
     """
     k = points.shape[1]
     origin = points.min(axis=1, keepdims=True)
     box = points.max(axis=1, keepdims=True) - origin
-    per_side = math.ceil(math.sqrt(k / _CHS_PER_CELL))
+    per_side = math.ceil(math.sqrt(k))
     extent = box.max()
     side = extent / per_side if extent > 0 else 1.0
     # cells per axis, x then y; in cell units every cell edge is an integer

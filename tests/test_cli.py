@@ -106,7 +106,29 @@ def test_compare_requires_two_protocols(tmp_path, capsys):
     code = run_cli("compare", "--protocol", "leach", "--seeds", "1",
                    "--out", str(tmp_path / "o"))
     assert code == 2
-    assert "two protocols" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: compare needs at least two protocols\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_commands_share_their_flag_help(capsys):
+    helps = []
+    for command in ("run", "compare"):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        helps.append(text[text.index("options:"):])
+    assert "comma-separated protocol list" in helps[0]
+    assert "fail if every run hits max_rounds with survivors" in helps[0]
+    assert helps[0] == helps[1]
+
+
+def test_config_line_without_equals_rejected_before_any_file(tmp_path, capsys):
+    path = tmp_path / "net.cfg"
+    path.write_text("node_count = 10\nfoo\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: expected key = value, got 'foo'\n"
+    assert not out.exists()
 
 
 def test_compare_outputs_and_shared_topology(tmp_path):
@@ -176,6 +198,46 @@ def test_bound_rejects_bad_instance_before_any_file(tmp_path, capsys, text):
     assert "error:" in captured.err
     assert "K* =" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1 1 1 4\nabc\n2.0\n1\n", "line 2 must hold Z = 1 range energies, got 'abc'"),
+    ("1 1 2 4\n0.5\n2.0\n1\n1\n", "line 2 must hold Z = 2 range energies, got '0.5'"),
+    ("1 1 1 4\n0.5\n0.5 0.6\n1\n", "line 3 must hold one number, the budget E, got '0.5 0.6'"),
+])
+def test_bound_instance_header_errors_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("bound", str(path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_bound_from_too_large_network_refused_by_the_solver(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("bound", "--from-network", "--nodes", "9", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: instance exceeds exact-solver guards (N <= 8,")
+    assert captured.err.endswith("got N=9, M=1, Z=2, K=16\n")
+    assert "K* =" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--max-rounds", "5"], "error: simulation censored at max_rounds"),
+    ([], "error: simulated lifetime 1744 exceeds bound 16"),
+])
+def test_bound_check_sim_failures_exit_1(tmp_path, capsys, flags, error):
+    # at the default 0.5 J battery the LEACH run outlives K = 16 rounds
+    code = run_cli("bound", "--from-network", "--nodes", "4", "--seed", "3", "--check-sim",
+                   *flags, "--out", str(tmp_path / "o"))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "K* = 16" in captured.out
+    assert captured.err.startswith(error)
 
 
 def test_bound_too_large_instance_reports_limits(tmp_path, capsys):
@@ -249,6 +311,8 @@ def test_parse_seeds_rejects_reversed_range():
     (["--seeds", "1..b"], "--seeds"),
     (["--seeds", "3..1"], "--seeds"),
     (["--seeds", ","], "--seeds"),
+    (["--override", "foo"], "--override:"),
+    (["--protocol", ","], "no protocols"),
 ])
 def test_bad_value_names_its_key_before_any_file(tmp_path, capsys, flags, named):
     out = tmp_path / "out"

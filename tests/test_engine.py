@@ -8,7 +8,6 @@ from wsnsim.energy_model import aggregation_energy, rx_energy, tx_energy
 from wsnsim.engine import (
     AllNodesDeadError,
     SimulationState,
-    read_trace_csv,
     run_simulation,
     write_trace_csv,
 )
@@ -229,20 +228,3 @@ def test_trace_fields_are_python_numbers():
             assert all(type(getattr(m, f)) is int for f in
                        ("round", "alive", "dead", "ch_count", "packets_to_bs", "packets_to_ch"))
             assert type(m.total_residual_energy) is float
-
-
-def test_trace_csv_round_trip():
-    cfg = NetworkConfig(node_count=10, max_rounds=40)
-    result = run_simulation(cfg, make_protocol("sep", cfg), seed=8)
-    buf = io.StringIO()
-    write_trace_csv(result, buf)
-    buf.seek(0)
-    parsed = read_trace_csv(buf)
-    assert parsed == result.trace
-
-
-@pytest.mark.parametrize("row", ["0,1,2", "0,1,2,3,4,5,6.0,7"])
-def test_read_trace_csv_rejects_wrong_column_count(row):
-    header = "round,alive,dead,ch_count,packets_to_bs,packets_to_ch,total_residual_energy\n"
-    with pytest.raises(ValueError, match="7 values"):
-        read_trace_csv(io.StringIO(header + row + "\n"))

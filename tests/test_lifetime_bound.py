@@ -126,6 +126,17 @@ def test_dimension_mismatch_raises():
         verify_schedule(instance, bad)
 
 
+def test_non_boolean_flags_are_reported():
+    instance = single_sensor_instance(k_max=2)
+    schedule = Schedule.empty(instance)
+    schedule.x[0][1][0] = 2
+    schedule.r[1] = 0.5
+    ok, violations = verify_schedule(instance, schedule)
+    assert not ok
+    assert ("1d", 0, 1, 0) in violations
+    assert ("1d-r", 1) in violations
+
+
 # --- solvers --------------------------------------------------------------
 
 def test_single_sensor_budget_quotient():
@@ -282,6 +293,19 @@ def test_both_solvers_reach_k_max_at_the_default_battery(n):
     assert solve_exhaustive(instance) == 16
 
 
+@pytest.mark.parametrize("changes,match", [
+    ({"range_energies": (0.5, 0.7)}, "range_energies length must equal n_ranges"),
+    ({"coverage": full_coverage(2, 1, 1)}, "coverage tensor"),
+    ({"coverage": full_coverage(1, 2, 1)}, "coverage tensor"),
+    ({"coverage": full_coverage(1, 1, 2)}, "coverage tensor"),
+])
+def test_instance_shape_mismatch_is_rejected(changes, match):
+    fields = dict(n_sensors=1, n_chs=1, n_ranges=1, k_max=4, range_energies=(0.5,),
+                  budget=2.0, coverage=full_coverage(1, 1, 1))
+    with pytest.raises(ValueError, match=match):
+        BoundInstance(**{**fields, **changes})
+
+
 @pytest.mark.parametrize("field", ["n_sensors", "n_chs", "n_ranges", "k_max"])
 def test_empty_instance_is_rejected(field):
     sizes = dict(n_sensors=1, n_chs=1, n_ranges=1, k_max=4)
@@ -349,6 +373,13 @@ def test_instance_text_rejects_garbage():
         ("1 1 1\n", None),
         ("2 1 1 4\n0.5\n2.0\n1\n", "coverage rows"),  # missing coverage row
         ("1 2 1 4\n0.5\n2.0\n1 2\n", "coverage row 0"),
+        ("1 2 1 4\n0.5\n2.0\n1\n", "coverage row 0 needs 2 entries"),
+        ("1 1 1 4\nabc\n2.0\n1\n", "line 2 must hold Z = 1 range energies, got 'abc'"),
+        ("1 1 2 4\n0.5\n2.0\n1\n1\n", "line 2 must hold Z = 2 range energies, got '0.5'"),
+        ("1 1 1 4\n0.5 0.6\n2.0\n1\n", "line 2 must hold Z = 1 range energies"),
+        ("1 1 1 4\n0.5\n0.5 0.6\n1\n", "line 3 must hold one number, the budget E, "
+                                           "got '0.5 0.6'"),
+        ("1 1 1 4\n0.5\nabc\n1\n", "line 3 must hold one number"),
         ("2 1 1 4\n0.5\n2.0\n1\nyes\n", "coverage row 1"),
         ("1 1 1 4\n0.5\n2.0\n1.0\n", "coverage row 0"),
         ("1 1 1 4\n0.5\nnan\n1\n", "budget"),
@@ -415,6 +446,8 @@ def test_simulated_lifetime_never_exceeds_bound():
 
 
 def test_bound_guard_for_large_networks():
-    cfg = NetworkConfig(node_count=9)
-    with pytest.raises(InstanceTooLargeError):
-        bound_for_simulated_network(deploy(cfg, 1))
+    # the mapping takes any N; only the solvers refuse past their guard
+    instance = bound_for_simulated_network(deploy(NetworkConfig(node_count=9), 1))
+    assert instance.n_sensors == 9
+    with pytest.raises(InstanceTooLargeError, match="got N=9"):
+        solve_exact(instance)

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from wsnsim.engine import (
     RoundMetrics,
     SimulationResult,
-    read_trace_csv,
     run_simulation,
     write_trace_csv,
 )
@@ -67,6 +67,11 @@ def test_lifetime_single_node():
     assert network_lifetime(trace_from_dead_counts([1], 1), 1) == 0
 
 
+def test_lifetime_rejects_empty_trace():
+    with pytest.raises(ValueError, match="empty trace"):
+        network_lifetime([], 1)
+
+
 def test_instability_arithmetic():
     trace = trace_from_dead_counts([0] * 500 + [1] * 1000 + [10], 10)
     assert stability_period(trace) == 500
@@ -122,7 +127,11 @@ def test_metrics_recomputable_from_persisted_csv():
     buf = io.StringIO()
     write_trace_csv(result, buf)
     buf.seek(0)
-    reloaded = read_trace_csv(buf)
+    # the CSV is lossless: every field reads back to the value the run recorded
+    reloaded = [RoundMetrics(**{name: (float if name == "total_residual_energy" else int)(value)
+                                for name, value in row.items()})
+                for row in csv.DictReader(buf)]
+    assert reloaded == result.trace
     assert stability_period(reloaded) == stability_period(result.trace)
     assert network_lifetime(reloaded, 12) == network_lifetime(result.trace, 12)
 

@@ -1,6 +1,7 @@
 import io
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -198,6 +199,46 @@ def test_config_validation_errors():
         NetworkConfig(teen_hard_threshold=300.0)
     with pytest.raises(ValueError):
         NetworkConfig(initial_energy=-1.0)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("adv_fraction", -0.1), ("adv_fraction", 1.5), ("adv_energy_factor", -1.0),
+    ("packet_bits", -1), ("teen_soft_threshold", -0.5), ("max_rounds", -1),
+])
+def test_config_rejects_out_of_range_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        NetworkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("raw", ["5e1nJ", "50nJ", "0.05uJ", "0.00005 mJ", "5e-8", "5e-8 J",
+                                 "5e4 pJ"])
+def test_every_energy_spelling_parses_to_one_float(raw):
+    assert config_from_items({"e_elec": raw}).radio.e_elec == 5e-8
+
+
+@given(st.integers(min_value=1, max_value=10**17), st.integers(0, 17),
+       st.integers(-30, 30), st.sampled_from([("mJ", -3), ("uJ", -6), ("nJ", -9),
+                                               ("pJ", -12), ("J", 0)]))
+def test_energy_spelling_rounds_once(digits, point, exponent, unit):
+    # the value's own exponent and the unit's power add up before the one rounding
+    mantissa = format(Decimal(digits).scaleb(-point), "f")
+    suffix, power = unit
+    parsed = config_from_items({"initial_energy": f"{mantissa}e{exponent}{suffix}"})
+    assert parsed.initial_energy == float(Decimal(mantissa).scaleb(exponent + power))
+
+
+@pytest.mark.parametrize("raw", ["infJ", "nanJ", "5enJ", "e5nJ", "5e1.5nJ", "J"])
+def test_malformed_energy_spellings_name_their_key(raw):
+    with pytest.raises(ValueError, match=f"^e_elec needs a number.*got {raw!r}"):
+        config_from_items({"e_elec": raw})
+
+
+def test_config_line_without_equals_names_file_and_line(tmp_path):
+    path = tmp_path / "net.cfg"
+    path.write_text("node_count = 10\n  foo  # no value\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{path}:2: expected key = value, "
+                                         rf"got '  foo  # no value'$"):
+        load_config(str(path))
 
 
 FLOAT_FIELDS = ("field_width", "field_height", "initial_energy", "p_opt", "adv_fraction",

@@ -121,6 +121,11 @@ def test_network_average_energy_all_dead():
     assert network_average_energy([0.0, 0.0]) == 0.0
 
 
+def test_network_average_energy_rejects_no_nodes():
+    with pytest.raises(ValueError, match="no nodes"):
+        network_average_energy([])
+
+
 def test_network_average_energy_weighted():
     residuals = [0.5] * 90 + [1.0] * 10
     assert network_average_energy(residuals) == pytest.approx(0.55, rel=1e-12)
@@ -171,6 +176,11 @@ def test_deec_reference_weight_two_level_hand_values():
     weights = deec_reference_weight([0.0, 1.0], 0.1)
     assert weights[0] == pytest.approx(0.1 * 2 * 1 / 3, rel=1e-12)
     assert weights[1] == pytest.approx(0.1 * 2 * 2 / 3, rel=1e-12)
+
+
+def test_deec_reference_weight_rejects_no_nodes():
+    with pytest.raises(ValueError, match="at least one node"):
+        deec_reference_weight([], 0.1)
 
 
 def test_deec_reference_weight_single_node():
