@@ -18,13 +18,14 @@ from pathlib import Path
 
 from .engine import TRACE_COLUMNS, run_simulation, write_summary_json, write_trace_csv
 from .lifetime_bound import (
+    MAX_ROUNDS,
     bound_for_simulated_network,
     instance_from_text,
     instance_to_text,
     schedule_to_text,
     solve_exact,
 )
-from .metrics import aggregate, network_lifetime, write_summary_stats_csv
+from .metrics import aggregate, write_summary_stats_csv
 from .network import NetworkConfig, config_as_items, config_from_items, deploy, load_config, split_entry
 from .protocols import Protocol, make_protocol
 
@@ -66,14 +67,12 @@ def parse_protocols(spec: str) -> list[Protocol]:
 
 
 def _load_effective_config(args) -> NetworkConfig:
-    """The config file (or defaults), then --override, --max-rounds and bound's --nodes."""
-    config = load_config(args.config) if args.config else NetworkConfig()
+    """The command's default config or the config file over it, then --override and --max-rounds."""
+    config = load_config(args.config, base=args.default_config) if args.config else args.default_config
     config = config_from_items(dict(split_entry(entry, "--override") for entry in args.override),
                                base=config)
     if args.max_rounds is not None:
         config = replace(config, max_rounds=args.max_rounds)
-    if args.command == "bound":
-        config = replace(config, node_count=args.nodes)
     return config
 
 
@@ -140,15 +139,18 @@ def _sweep(args) -> int:
 def cmd_bound(args) -> int:
     if bool(args.instance) == args.from_network:
         raise ValueError("give either an instance file or --from-network")
-    if args.check_sim and not args.from_network:
-        raise ValueError("--check-sim needs --from-network")
-    if args.from_network:
-        config = _load_effective_config(args)
-        network = deploy(config, args.seed)
-        instance = bound_for_simulated_network(network, k_max=args.k_max,
-                                               max_range=args.max_range)
-    else:
+    if args.instance:
+        # the flags only --from-network reads are None (--override empty) unless given
+        for name in ("config", "override", "max_rounds", "seed", "k_max", "max_range", "check_sim"):
+            if getattr(args, name) not in (None, []):
+                raise ValueError(f"--{name.replace('_', '-')} needs --from-network")
         instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
+    else:
+        config = _load_effective_config(args)
+        seed = 1 if args.seed is None else args.seed
+        instance = bound_for_simulated_network(
+            deploy(config, seed), k_max=MAX_ROUNDS if args.k_max is None else args.k_max,
+            max_range=args.max_range)
 
     k_star, schedule = solve_exact(instance)
     print(f"K* = {k_star}")
@@ -161,12 +163,12 @@ def cmd_bound(args) -> int:
         fh.write(instance_to_text(instance))
 
     if args.check_sim:
-        result = run_simulation(config, Protocol("leach"), args.seed)
-        if result.censored:
+        result = run_simulation(config, Protocol("leach"), seed)
+        lifetime = result.last_death_round
+        if lifetime is None:
             print("error: simulation censored at max_rounds; raise it to "
                   "compare against the bound", file=sys.stderr)
             return 1
-        lifetime = network_lifetime(result.trace, result.n_nodes)
         print(f"simulated lifetime = {lifetime}")
         if lifetime > k_star:
             print(f"error: simulated lifetime {lifetime} exceeds bound {k_star}",
@@ -189,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="config override (repeatable)")
     common.add_argument("--show-config", action="store_true",
                         help="print the effective config and exit")
+    common.set_defaults(default_config=NetworkConfig())
 
     for name, protocols, summary in (
             ("run", "leach", "run one or more protocols"),
@@ -206,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     bound_p.add_argument("instance", nargs="?", help="instance file (matrix format)")
     bound_p.add_argument("--from-network", action="store_true",
                          help="build the instance from a deployed network")
-    bound_p.add_argument("--nodes", type=int, default=4)
-    bound_p.add_argument("--seed", type=int, default=1)
-    bound_p.add_argument("--k-max", type=int, default=16)
-    bound_p.add_argument("--max-range", type=float, default=None)
-    bound_p.add_argument("--check-sim", action="store_true",
+    bound_p.add_argument("--seed", type=int, help="deployment seed (default 1)")
+    bound_p.add_argument("--k-max", type=int, help=f"round cap K (default {MAX_ROUNDS})")
+    bound_p.add_argument("--max-range", type=float)
+    bound_p.add_argument("--check-sim", action="store_true", default=None,
                          help="also run LEACH on the network and assert "
                               "lifetime <= K*")
-    bound_p.set_defaults(func=cmd_bound)
+    # a 4-node network by default: small enough for the exact solver
+    bound_p.set_defaults(func=cmd_bound, default_config=NetworkConfig(node_count=4))
     return parser
 
 

@@ -46,17 +46,36 @@ _trace_values = attrgetter(*TRACE_COLUMNS)
 _TRACE_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\n"
 
 
+def death_round(trace: list[RoundMetrics], dead: int) -> Optional[int]:
+    """The round of the first trace row with at least `dead` dead nodes, or None."""
+    return next((m.round for m in trace if m.dead >= dead), None)
+
+
 @dataclass
 class SimulationResult:
+    """One run's record, its trace and ledger; the summary values are read off the trace."""
+
     protocol: str
     seed: int
     n_nodes: int
     trace: list[RoundMetrics]
     round_debits: list[float]
-    first_death_round: Optional[int]
-    last_death_round: Optional[int]
-    total_packets_to_bs: int
-    censored: bool
+
+    @property
+    def first_death_round(self) -> Optional[int]:
+        return death_round(self.trace, 1)
+
+    @property
+    def last_death_round(self) -> Optional[int]:
+        return death_round(self.trace, self.n_nodes)
+
+    @property
+    def censored(self) -> bool:  # stopped at max_rounds with nodes alive
+        return self.last_death_round is None
+
+    @property
+    def total_packets_to_bs(self) -> int:
+        return sum(m.packets_to_bs for m in self.trace)
 
 
 class AllNodesDeadError(RuntimeError):
@@ -64,17 +83,18 @@ class AllNodesDeadError(RuntimeError):
 
 
 class SimulationState:
-    """One protocol run over one deployed network."""
+    """One protocol run over one deployed network; `run_round` appends to its
+    `trace` (so its length is the next round's index) and `round_debits`."""
 
     def __init__(self, network: Network, protocol: Protocol, seed: int):
         self.network = network
         self.protocol = protocol
         self.rng = random.Random(f"protocol:{seed}")
-        self.round = 0
-        self.last_round_debit = 0.0
+        self.trace: list[RoundMetrics] = []
+        self.round_debits: list[float] = []
 
     def run_round(self) -> RoundMetrics:
-        """Advance the simulation by one round and record its metrics.
+        """Advance the simulation by one round and append its metrics and debit.
 
         Each phase works on whole arrays, and each node's residual sees the
         same float operations in the same order as a node-by-node loop: a
@@ -89,7 +109,7 @@ class SimulationState:
         radio, bits = net.config.radio, net.config.packet_bits
         elec = rx_energy(radio, bits)
 
-        outcome = elect_cluster_heads(net, self.protocol, self.round, self.rng)
+        outcome = elect_cluster_heads(net, self.protocol, len(self.trace), self.rng)
         ch_ids = outcome.ch_ids
 
         is_teen = self.protocol.name == "teen"
@@ -148,9 +168,9 @@ class SimulationState:
             net.eligible[dying] = False
         alive_count = len(alive_ids) - len(dying)
 
-        self.last_round_debit = math.fsum(debits)
+        self.round_debits.append(math.fsum(debits))
         metrics = RoundMetrics(
-            round=self.round,
+            round=len(self.trace),
             alive=alive_count,
             dead=len(residual) - alive_count,
             ch_count=len(ch_ids),
@@ -158,41 +178,19 @@ class SimulationState:
             packets_to_ch=packets_to_ch,
             total_residual_energy=net.total_residual_energy(),
         )
-        self.round += 1
+        self.trace.append(metrics)
         return metrics
 
 
 def run_simulation(config: NetworkConfig, protocol: Protocol,
                    seed: int) -> SimulationResult:
-    """Run one protocol to network death or the round cap, deterministically."""
-    network = deploy(config, seed)
-    state = SimulationState(network, protocol, seed)
-    n = config.node_count
-
-    trace: list[RoundMetrics] = []
-    round_debits: list[float] = []
-    first_death: Optional[int] = None
-    last_death: Optional[int] = None
+    """Run one protocol until no node is alive or max_rounds is reached, deterministically."""
+    state = SimulationState(deploy(config, seed), protocol, seed)
     for _ in range(config.max_rounds):
-        metrics = state.run_round()
-        trace.append(metrics)
-        round_debits.append(state.last_round_debit)
-        if first_death is None and metrics.dead > 0:
-            first_death = metrics.round
-        if metrics.dead == n:
-            last_death = metrics.round
+        if not state.run_round().alive:
             break
-    return SimulationResult(
-        protocol=protocol.name,
-        seed=seed,
-        n_nodes=n,
-        trace=trace,
-        round_debits=round_debits,
-        first_death_round=first_death,
-        last_death_round=last_death,
-        total_packets_to_bs=sum(m.packets_to_bs for m in trace),
-        censored=last_death is None,
-    )
+    return SimulationResult(protocol.name, seed, config.node_count,
+                            state.trace, state.round_debits)
 
 
 def write_trace_csv(result: SimulationResult, stream: TextIO) -> None:

@@ -13,27 +13,25 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Iterable, TextIO
 
-from .engine import RoundMetrics, SimulationResult
+from .engine import RoundMetrics, SimulationResult, death_round
+
+
+def _rounds_before(trace: list[RoundMetrics], dead: int) -> int:
+    """Index of the first round with `dead` nodes dead; trace length if none."""
+    if not trace:
+        raise ValueError("empty trace")
+    found = death_round(trace, dead)
+    return len(trace) if found is None else found
 
 
 def stability_period(trace: list[RoundMetrics]) -> int:
     """Rounds before the first death: index of the first round with dead > 0."""
-    if not trace:
-        raise ValueError("empty trace")
-    for m in trace:
-        if m.dead > 0:
-            return m.round
-    return len(trace)
+    return _rounds_before(trace, 1)
 
 
 def network_lifetime(trace: list[RoundMetrics], n_nodes: int) -> int:
     """Round index at which the last node died; trace length if censored."""
-    if not trace:
-        raise ValueError("empty trace")
-    for m in trace:
-        if m.dead == n_nodes:
-            return m.round
-    return len(trace)
+    return _rounds_before(trace, n_nodes)
 
 
 def instability_period(trace: list[RoundMetrics], n_nodes: int) -> int:

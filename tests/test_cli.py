@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from wsnsim.cli import main, parse_protocols, parse_seeds
+from wsnsim.cli import build_parser, main, parse_protocols, parse_seeds
 from wsnsim.protocols import Protocol
 from wsnsim.lifetime_bound import BoundInstance, instance_to_text
 
@@ -218,7 +221,7 @@ def test_bound_instance_header_errors_name_their_line(tmp_path, capsys, text, me
 
 def test_bound_from_too_large_network_refused_by_the_solver(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run_cli("bound", "--from-network", "--nodes", "9", "--out", str(out)) == 2
+    assert run_cli("bound", "--from-network", "--override", "node_count=9", "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: instance exceeds exact-solver guards (N <= 8,")
     assert captured.err.endswith("got N=9, M=1, Z=2, K=16\n")
@@ -232,8 +235,8 @@ def test_bound_from_too_large_network_refused_by_the_solver(tmp_path, capsys):
 ])
 def test_bound_check_sim_failures_exit_1(tmp_path, capsys, flags, error):
     # at the default 0.5 J battery the LEACH run outlives K = 16 rounds
-    code = run_cli("bound", "--from-network", "--nodes", "4", "--seed", "3", "--check-sim",
-                   *flags, "--out", str(tmp_path / "o"))
+    code = run_cli("bound", "--from-network", "--override", "node_count=4", "--seed", "3",
+                   "--check-sim", *flags, "--out", str(tmp_path / "o"))
     assert code == 1
     captured = capsys.readouterr()
     assert "K* = 16" in captured.out
@@ -253,7 +256,7 @@ def test_bound_too_large_instance_reports_limits(tmp_path, capsys):
 
 
 def test_bound_check_sim_dominance(tmp_path, capsys):
-    code = run_cli("bound", "--from-network", "--nodes", "3", "--seed", "2",
+    code = run_cli("bound", "--from-network", "--override", "node_count=3", "--seed", "2",
                    "--override", "initial_energy=0.00082",
                    "--override", "adv_fraction=0",
                    "--max-rounds", "64",
@@ -265,7 +268,7 @@ def test_bound_check_sim_dominance(tmp_path, capsys):
 
 def test_bound_readme_check_sim_example(tmp_path, capsys):
     # a battery of 5.2 packets' electronics cost: the run dies well inside K*
-    code = run_cli("bound", "--from-network", "--nodes", "4", "--seed", "3",
+    code = run_cli("bound", "--from-network", "--override", "node_count=4", "--seed", "3",
                    "--check-sim", "--override", "initial_energy=1.04mJ",
                    "--out", str(tmp_path / "o"))
     out = capsys.readouterr().out
@@ -276,7 +279,7 @@ def test_bound_readme_check_sim_example(tmp_path, capsys):
 
 def test_bound_show_config_writes_nothing(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run_cli("bound", "--from-network", "--nodes", "3", "--show-config",
+    assert run_cli("bound", "--from-network", "--override", "node_count=3", "--show-config",
                    "--out", str(out)) == 0
     text = capsys.readouterr().out
     assert "node_count = 3" in text
@@ -295,6 +298,73 @@ def test_bound_file_with_check_sim_rejected_before_any_file(tmp_path, capsys, ne
     assert "--from-network" in captured.err
     assert "K* =" not in captured.out
     assert not out.exists()
+
+
+def bound_instance_header(out):
+    return (out / "bound_instance.txt").read_text(encoding="utf-8").splitlines()[0]
+
+
+def test_bound_node_count_is_set_like_every_other_key(tmp_path):
+    # bound's own default network has 4 nodes; node_count from --override or
+    # a config file replaces it, and there is no second spelling
+    assert run_cli("bound", "--from-network", "--out", str(tmp_path / "a")) == 0
+    assert bound_instance_header(tmp_path / "a") == "4 1 2 16"
+    assert run_cli("bound", "--from-network", "--override", "node_count=6",
+                   "--out", str(tmp_path / "b")) == 0
+    assert bound_instance_header(tmp_path / "b") == "6 1 2 16"
+    cfg = tmp_path / "five.cfg"
+    cfg.write_text("node_count = 5\n", encoding="utf-8")
+    assert run_cli("bound", "--from-network", "--config", str(cfg),
+                   "--out", str(tmp_path / "c")) == 0
+    assert bound_instance_header(tmp_path / "c") == "5 1 2 16"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bound", "--from-network", "--nodes", "4"])
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--config", "/nonexistent.cfg"], "--config"),
+    (["--override", "bogus=1"], "--override"),
+    (["--override", "node_count=3"], "--override"),
+    (["--max-rounds", "5"], "--max-rounds"),
+    (["--seed", "9"], "--seed"),
+    (["--seed", "1"], "--seed"),
+    (["--k-max", "2"], "--k-max"),
+    (["--max-range", "-3"], "--max-range"),
+    (["--override", "bogus=1", "--config", "/nonexistent.cfg", "--seed", "9", "--k-max", "2",
+      "--max-range", "-3"], "--config"),
+])
+def test_bound_instance_file_rejects_network_flags_before_any_file(tmp_path, capsys, flags,
+                                                                   named):
+    # an instance file fixes the instance, so a flag that would only shape a
+    # deployed network is refused rather than ignored
+    path = tmp_path / "inst.txt"
+    path.write_text(instance_to_text(full_coverage_instance()), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("bound", str(path), *flags, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named} needs --from-network\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def readme_commands():
+    """Every `wsnsim ...` line in the README's fenced blocks, split as a shell would."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        flags=re.MULTILINE | re.DOTALL)
+    return [shlex.split(line, comments=True) for block in blocks
+            for line in block.splitlines() if line.startswith("wsnsim ")]
+
+
+def test_readme_commands_parse(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 def test_parse_seeds_rejects_reversed_range():

@@ -44,7 +44,7 @@ def test_single_node_ch_round_debit():
     metrics = state.run_round()
     expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 0.0)
     assert expected == pytest.approx(2.2e-4, rel=1e-12)
-    assert state.last_round_debit == pytest.approx(expected, rel=1e-12)
+    assert state.round_debits[-1] == pytest.approx(expected, rel=1e-12)
     assert net.residual[0] == pytest.approx(0.5 - expected, rel=1e-12)
     assert metrics.packets_to_bs == 1
     assert metrics.ch_count == 1
@@ -60,7 +60,7 @@ def test_fallback_round_sends_direct_to_bs():
     assert metrics.packets_to_bs == 2
     assert metrics.packets_to_ch == 0
     expected = tx_energy(radio, 4000, 10.0) + tx_energy(radio, 4000, 30.0)
-    assert state.last_round_debit == pytest.approx(expected, rel=1e-12)
+    assert state.round_debits[-1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_teen_silent_round_sends_nothing():
@@ -72,7 +72,7 @@ def test_teen_silent_round_sends_nothing():
     assert metrics.ch_count == 3
     assert metrics.packets_to_bs == 0
     assert metrics.packets_to_ch == 0
-    assert state.last_round_debit == 0.0
+    assert state.round_debits[-1] == 0.0
 
 
 def test_teen_forwarding_merges_packets():
@@ -93,7 +93,7 @@ def test_teen_forwarding_merges_packets():
         + rx_energy(radio, 4000)            # 2 receives
         + tx_energy(radio, 4000, 10.0)      # 2 -> BS
     )
-    assert state.last_round_debit == pytest.approx(expected, rel=1e-12)
+    assert state.round_debits[-1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_teen_forwarding_disabled_goes_direct():
@@ -120,7 +120,7 @@ def test_teen_relays_send_without_data_of_their_own():
         + tx_energy(radio, 4000, 20.0) + rx_energy(radio, 4000)
         + tx_energy(radio, 4000, 10.0)
     )
-    assert state.last_round_debit == pytest.approx(expected, rel=1e-12)
+    assert state.round_debits[-1] == pytest.approx(expected, rel=1e-12)
     assert net.teen_last_sent[0] == 150.0
     assert np.isnan(net.teen_last_sent[1:]).all()
 
@@ -135,7 +135,7 @@ def test_member_and_ch_debits_add_up():
     state.rng = ScriptedRng(0.0, 0.0)
     state.run_round()
     expected = 2 * aggregation_energy(radio, 4000, 1) + 2 * tx_energy(radio, 4000, 5.0)
-    assert state.last_round_debit == pytest.approx(expected, rel=1e-12)
+    assert state.round_debits[-1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_run_round_requires_alive_nodes():

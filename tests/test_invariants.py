@@ -2,19 +2,22 @@
 
 Counts are bounded by the alive count at the start of the round: the
 trace's `alive` column is taken after the round's deaths, so it is the
-wrong bound for what happened during the round.
+wrong bound for what happened during the round. A run's summary and its
+metrics are checked against what the trace's rows give.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnsim import engine
-from wsnsim.engine import SimulationState
+from wsnsim.engine import SimulationState, run_simulation, summary_dict
+from wsnsim.metrics import run_metrics
 from wsnsim.network import NetworkConfig, deploy
-from wsnsim.protocols import PROTOCOL_NAMES, make_protocol
+from wsnsim.protocols import PROTOCOL_NAMES, Protocol, make_protocol
 
 MAX_ROUNDS = 150
 
@@ -61,7 +64,7 @@ def test_every_round_keeps_the_invariants(cfg, name, seed):
             assert m.ch_count <= n_alive
             assert m.packets_to_ch <= n_alive - m.ch_count
             after = math.fsum(net.residual.tolist())
-            assert abs((total - after) - state.last_round_debit) <= 1e-9
+            assert abs((total - after) - state.round_debits[-1]) <= 1e-9
             total = after
     finally:
         engine.teen_next_hop = next_hop
@@ -69,3 +72,31 @@ def test_every_round_keeps_the_invariants(cfg, name, seed):
     for ch_ids, relay in hops:
         forwarded = relay >= 0
         assert (net.dist_to_bs[relay[forwarded]] < net.dist_to_bs[ch_ids[forwarded]]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs, st.integers(min_value=1, max_value=MAX_ROUNDS), st.sampled_from(PROTOCOL_NAMES),
+       st.integers(min_value=0, max_value=10**6))
+def test_summary_and_metrics_agree_with_the_trace(cfg, max_rounds, name, seed):
+    result = run_simulation(replace(cfg, max_rounds=max_rounds), Protocol(name), seed)
+    trace = result.trace
+    deaths = [m.round for m in trace if m.dead > 0]
+    wipeouts = [m.round for m in trace if m.alive == 0]
+    # a run stops at its first round with no node alive, else at max_rounds
+    assert len(trace) == (wipeouts[0] + 1 if wipeouts else max_rounds)
+    assert len(result.round_debits) == len(trace)
+
+    summary = summary_dict(result)
+    assert summary["rounds"] == len(trace)
+    assert summary["first_death_round"] == (deaths[0] if deaths else None)
+    assert summary["last_death_round"] == (wipeouts[0] if wipeouts else None)
+    assert summary["censored"] == (not wipeouts)
+    assert summary["total_packets_to_bs"] == sum(m.packets_to_bs for m in trace)
+
+    metrics = run_metrics(result)
+    stability = summary["first_death_round"]
+    lifetime = summary["last_death_round"]
+    assert metrics["stability_period"] == (len(trace) if stability is None else stability)
+    assert metrics["network_lifetime"] == (len(trace) if lifetime is None else lifetime)
+    assert metrics["instability_period"] == metrics["network_lifetime"] - metrics["stability_period"]
+    assert metrics["total_packets_to_bs"] == summary["total_packets_to_bs"]

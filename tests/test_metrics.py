@@ -28,14 +28,10 @@ def trace_from_dead_counts(dead_counts, n):
             for i, d in enumerate(dead_counts)]
 
 
-def fake_result(dead_counts, n, protocol="leach", seed=1, packets=0, censored=False):
+def fake_result(dead_counts, n, protocol="leach", seed=1):
     trace = trace_from_dead_counts(dead_counts, n)
-    first = next((m.round for m in trace if m.dead > 0), None)
-    last = next((m.round for m in trace if m.dead == n), None)
     return SimulationResult(protocol=protocol, seed=seed, n_nodes=n, trace=trace,
-                            round_debits=[0.0] * len(trace),
-                            first_death_round=first, last_death_round=last,
-                            total_packets_to_bs=packets, censored=censored)
+                            round_debits=[0.0] * len(trace))
 
 
 def test_stability_first_positive_index():
@@ -137,8 +133,8 @@ def test_metrics_recomputable_from_persisted_csv():
 
 
 def test_summary_stats_csv_layout():
-    stats = aggregate([fake_result([0, 1, 2], 2, packets=7),
-                       fake_result([0, 2, 2], 2, seed=2, packets=9)])
+    stats = aggregate([fake_result([0, 1, 2], 2),
+                       fake_result([0, 2, 2], 2, seed=2)])
     buf = io.StringIO()
     write_summary_stats_csv(stats, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -149,7 +145,13 @@ def test_summary_stats_csv_layout():
     assert lines[1].startswith("leach,2,0,")
 
 
-def test_run_metrics_censored_flag_passthrough():
-    result = fake_result([0, 1], 2, censored=True)
+def test_result_from_never_all_dead_trace_is_censored():
+    # censoring is read off the trace: no row has every node dead
+    result = fake_result([0, 1], 2)
     assert result.censored
+    assert result.last_death_round is None
     assert run_metrics(result)["network_lifetime"] == 2
+    finished = fake_result([0, 1, 2, 2], 2)
+    assert not finished.censored
+    assert (finished.first_death_round, finished.last_death_round) == (1, 2)
+    assert finished.total_packets_to_bs == 4
