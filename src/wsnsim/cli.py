@@ -141,7 +141,8 @@ def cmd_bound(args) -> int:
         raise ValueError("give either an instance file or --from-network")
     if args.instance:
         # the flags only --from-network reads are None (--override empty) unless given
-        for name in ("config", "override", "max_rounds", "seed", "k_max", "max_range", "check_sim"):
+        for name in ("config", "override", "max_rounds", "seed", "k_max", "max_range",
+                     "check_sim", "show_config"):
             if getattr(args, name) not in (None, []):
                 raise ValueError(f"--{name.replace('_', '-')} needs --from-network")
         instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-rounds", type=int, default=None)
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="config override (repeatable)")
-    common.add_argument("--show-config", action="store_true",
+    common.add_argument("--show-config", action="store_true", default=None,
                         help="print the effective config and exit")
     common.set_defaults(default_config=NetworkConfig())
 
@@ -223,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.show_config:
+        # an instance file has no config to show: cmd_bound refuses the flag
+        if args.show_config and not getattr(args, "instance", None):
             for key, value in config_as_items(_load_effective_config(args)).items():
                 print(f"{key} = {value}")
             return 0

@@ -165,9 +165,11 @@ def deploy(config: NetworkConfig, seed: int) -> Network:
     """Scatter nodes uniformly over the field, deterministically per seed.
 
     The first floor(m*N) slots of a seeded shuffle become advanced nodes, so
-    the advanced count is exact for every seed. The deployment PRNG stream
-    is independent of the per-run protocol stream: identical seeds give
-    identical topologies no matter which protocol later runs on them.
+    the advanced count is exact for every seed. Nothing else reads m: SEP
+    and DEEC weight their classes by this deployed split. The deployment
+    PRNG stream is independent of the per-run protocol stream: identical
+    seeds give identical topologies no matter which protocol later runs on
+    them.
     """
     rng = random.Random(f"deploy:{seed}")
     n = config.node_count

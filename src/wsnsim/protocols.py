@@ -2,14 +2,16 @@
 
 All four protocols elect CHs the same way: an eligible node draws a uniform
 number and becomes CH when the draw falls below its threshold. They differ
-in how they turn the network config's p_opt, advanced fraction m and
-energy factor alpha into the threshold probability:
+in how they turn the network config's p_opt and energy factor alpha into
+the threshold probability:
 
 - LEACH / TEEN use p_opt for every node.
 - SEP splits p_opt into class-weighted probabilities for normal and
-  advanced nodes so advanced nodes take CH duty more often.
-- DEEC scales each node's probability by its residual energy relative to
-  the current network average, so depleted nodes skip CH duty.
+  advanced nodes so advanced nodes take CH duty more often. It weights by
+  the deployed class split, so the nodes elect p_opt of themselves on
+  average even where deploy's floor(m*N) advanced nodes are not m*N.
+- DEEC scales each node's SEP class probability by its residual energy
+  relative to the current network average, so depleted nodes skip CH duty.
 
 A node that becomes CH leaves the eligibility set until its epoch
 (round(1/p) rounds) wraps around; the set also refills whenever it runs
@@ -104,8 +106,10 @@ def _class_round(p: float, r_mod: int) -> tuple[bool, float]:
     return r_mod == 0, float(_ramp(p, r_mod))
 
 
+# cached: DEEC asks for its class p every round, and the check is numpy work
+@lru_cache(maxsize=256)
 def sep_probabilities(p_opt: float, m: float, alpha: float) -> tuple[float, float]:
-    """Class-weighted CH probabilities (p_nrm, p_adv).
+    """Class-weighted CH probabilities (p_nrm, p_adv) for an advanced share m.
 
     p_nrm = p_opt / (1 + alpha*m), p_adv = p_nrm * (1 + alpha); the
     population mix satisfies (1-m)*p_nrm + m*p_adv = p_opt.
@@ -120,41 +124,15 @@ def network_average_energy(residuals: list[float]) -> float:
 
     Takes Python floats and adds them left to right with the builtin sum:
     np.sum's pairwise order would change the average's last bits, and with
-    them DEEC's thresholds and which draws elect.
+    them DEEC's thresholds and which draws elect. The mean must be positive,
+    as DEEC divides by it.
     """
     if not residuals:
         raise ValueError("no nodes")
-    return sum(residuals) / len(residuals)
-
-
-def deec_probability(residual, advanced, p_opt: float, m: float, alpha: float,
-                     avg_energy: float):
-    """Residual-energy-weighted CH probability, clamped to (0, 1].
-
-    Normal nodes get p_opt * E_i / ((1 + alpha*m) * E_avg); advanced nodes
-    carry an extra (1 + alpha) factor. Values can exceed 1 late in life
-    when a survivor holds far more energy than the network average.
-    Array-capable in `residual` and `advanced`.
-    """
-    if avg_energy <= 0:
+    average = sum(residuals) / len(residuals)
+    if average <= 0:
         raise ValueError("network average energy must be positive")
-    base = p_opt * np.asarray(residual, dtype=float) / ((1.0 + alpha * m) * avg_energy)
-    return np.minimum(1.0, np.where(advanced, base * (1.0 + alpha), base))
-
-
-def deec_reference_weight(alpha_values: list[float], p_opt: float) -> list[float]:
-    """Multi-level heterogeneity reference probabilities.
-
-    Node i gets p_opt * N * (1 + alpha_i) / (N + sum(alpha)); the weights
-    average back to p_opt exactly. Elections call `deec_probability`, which
-    divides by the configured (1 + alpha*m): the two agree only when deploy's
-    floor(m*N) advanced nodes are m*N (at N = 25, m = 0.1 they are 1.9% apart).
-    """
-    n = len(alpha_values)
-    if n < 1:
-        raise ValueError("need at least one node")
-    total = sum(alpha_values)
-    return [p_opt * n * (1.0 + a) / (n + total) for a in alpha_values]
+    return average
 
 
 @lru_cache(maxsize=256)
@@ -178,11 +156,15 @@ def elect_cluster_heads(network: Network, protocol: Protocol,
     ids = network.alive.nonzero()[0]
     eligible = network.eligible
     cfg = network.config
+    # SEP and DEEC weight the classes by the deployed advanced share
+    share = np.count_nonzero(network.advanced) / len(network.advanced)
     if protocol.name == "deec":
-        # p, and with it the epoch, differs from node to node
+        # p = min(1, p_class * E_i / E_avg), and with it the epoch, differs
+        # from node to node; a p above 1 late in life clamps to 1
+        p_nrm, p_adv = sep_probabilities(cfg.p_opt, share, cfg.adv_energy_factor)
         avg_energy = network_average_energy(network.residual.tolist())
-        p = deec_probability(network.residual[ids], network.advanced[ids], cfg.p_opt,
-                             cfg.adv_fraction, cfg.adv_energy_factor, avg_energy)
+        p = np.minimum(1.0, np.where(network.advanced[ids], p_adv, p_nrm)
+                       * network.residual[ids] / avg_energy)
         r_mod = round_index % epoch_length(p)
         eligible[ids[r_mod == 0]] = True
         threshold = _ramp(p, r_mod)
@@ -190,7 +172,7 @@ def elect_cluster_heads(network: Network, protocol: Protocol,
         # p depends only on a node's class: each class's epoch wrap and
         # threshold are worked out once and broadcast to its nodes
         (p_nrm, epoch_nrm), (p_adv, epoch_adv) = _classes(
-            protocol.name, cfg.p_opt, cfg.adv_fraction, cfg.adv_energy_factor)
+            protocol.name, cfg.p_opt, share, cfg.adv_energy_factor)
         wrap_nrm, t_nrm = _class_round(p_nrm, round_index % epoch_nrm)
         wrap_adv, t_adv = _class_round(p_adv, round_index % epoch_adv)
         advanced = network.advanced[ids]

@@ -32,7 +32,7 @@ from wsnsim.metrics import network_lifetime, run_metrics, stability_period
 from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import (
     Protocol,
-    deec_reference_weight,
+    elect_cluster_heads,
     leach_threshold,
     make_protocol,
     sep_probabilities,
@@ -102,13 +102,19 @@ def test_criterion_2_threshold_algebra():
                 if abs(got - p_opt) > 1e-12:
                     failures.append(
                         f"weighted mean off at ({p_opt},{m},{alpha}): {got!r}")
+    # on deployed networks, whose floor(m*N) advanced nodes need not be m*N,
+    # the class probabilities SEP elects with (its round-0 thresholds) average
+    # to p_opt over the nodes; p_opt < 1/(1+alpha) keeps both below 1
     rng = random.Random(1)
     for _ in range(50):
-        alphas = [rng.uniform(0, 4) for _ in range(rng.randint(1, 40))]
-        p_opt = rng.uniform(0.01, 1.0)
-        weights = deec_reference_weight(alphas, p_opt)
-        if abs(sum(weights) / len(weights) - p_opt) > 1e-12:
-            failures.append("reference weights do not average to p_opt")
+        alpha = rng.uniform(0, 4)
+        cfg = NetworkConfig(node_count=rng.randint(1, 40),
+                            p_opt=rng.uniform(0.01, 1.0) / (1 + alpha),
+                            adv_fraction=rng.random(), adv_energy_factor=alpha)
+        net = deploy(cfg, rng.randrange(10**6))
+        thresholds = elect_cluster_heads(net, Protocol("sep"), 0, random.Random(0)).thresholds
+        if abs(sum(thresholds.tolist()) / cfg.node_count - cfg.p_opt) > 1e-12:
+            failures.append(f"deployed class probabilities do not average to p_opt: {cfg}")
             break
     report("criterion 2 (threshold algebra)", failures)
 

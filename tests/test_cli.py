@@ -332,6 +332,7 @@ def test_bound_node_count_is_set_like_every_other_key(tmp_path):
     (["--max-range", "-3"], "--max-range"),
     (["--override", "bogus=1", "--config", "/nonexistent.cfg", "--seed", "9", "--k-max", "2",
       "--max-range", "-3"], "--config"),
+    (["--show-config"], "--show-config"),
 ])
 def test_bound_instance_file_rejects_network_flags_before_any_file(tmp_path, capsys, flags,
                                                                    named):

@@ -15,7 +15,10 @@ under that load. The grid cases run N = 1600 for 10 rounds: about 160 CHs
 a round, so cluster formation buckets the CHs into grid cells. The
 grid-bs-off-field case elects about 320 CHs a round, so TEEN's next-hop
 search buckets them too; with the base station off the field, many CHs
-find no closer-to-BS CH in their 3x3 cells and search every CH.
+find no closer-to-BS CH in their 3x3 cells and search every CH. The
+frac-share case deploys floor(0.1 * 25) = 2 advanced nodes, a share of
+0.08 rather than the configured 0.1, so SEP and DEEC weight their classes
+by a split that differs from the config's.
 
 The topology digests pin `write_topology_csv`'s bytes, so they pin
 `deploy`'s positions, class split and energies: one node on a non-square
@@ -44,6 +47,7 @@ CONFIGS = {
     "grid": NetworkConfig(node_count=1600, max_rounds=10),
     "grid-bs-off-field": NetworkConfig(node_count=1600, max_rounds=10, p_opt=0.2,
                                        bs_position=(50.0, 175.0)),
+    "frac-share": NetworkConfig(node_count=25, adv_fraction=0.1, initial_energy=0.02),
 }
 
 GOLDEN = {
@@ -65,6 +69,10 @@ GOLDEN = {
     ("grid", "leach", 1): "064374ef0b1e8073bb79d2da664e4818df81ae6fd7eb9ca86ee8e990ef177009",
     ("grid", "teen", 1): "e06c89cb952eda16b4265a5884f83c7b0075313d7eea02e6f1c2141739e33821",
     ("grid", "deec", 1): "9b88f5744e32f5636b33112b66a5dfee9b932f6658c0facc3f23d2c03dbf9ed3",
+    ("frac-share", "sep", 1): "0b10a98dca93e2300ff33e1bc33e3b54e295fb5ebd143504c4f072fa712aa371",
+    ("frac-share", "sep", 2): "1895c2413d189534e09f58c9f0c286c145241c1a41d72130e3c25df35a320da2",
+    ("frac-share", "deec", 1): "b28b449dd7c7b2fe913a728b4ca3f405f1232a5690fc8f7bd6758b7ac6bf75d2",
+    ("frac-share", "deec", 2): "7187afe7c95c1603d7829b7f698956a6d5e0679ca2c46e9ff5d1d759fb6e0109",
     ("grid-bs-off-field", "teen", 1): "17e4bc5647a60f9edd5752cd3d4dd9cda60e421065e84446e71199094c4f5023",
 }
 

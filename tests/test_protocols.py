@@ -11,8 +11,6 @@ from wsnsim import protocols
 from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, deploy
 from wsnsim.protocols import (
     Protocol,
-    deec_probability,
-    deec_reference_weight,
     elect_cluster_heads,
     epoch_length,
     form_clusters,
@@ -78,10 +76,11 @@ def test_sep_weighted_mean_identity(p_opt, m, alpha):
 
 
 def sep_network():
-    """Nodes 0, 1 normal and 2, 3 advanced; the default config gives SEP
-    p_nrm = 1/11 and p_adv = 2/11."""
+    """Nodes 0, 1 normal and 2, 3 advanced, an advanced share of 0.5; at
+    p_opt = 0.15 and alpha = 1, SEP gives p_nrm = 0.1 and p_adv = 0.2."""
     return make_network([(float(i), 0.0) for i in range(4)],
-                        classes=[NORMAL, NORMAL, ADVANCED, ADVANCED])
+                        classes=[NORMAL, NORMAL, ADVANCED, ADVANCED],
+                        p_opt=0.15, adv_fraction=0.5)
 
 
 def test_sep_threshold_normal_epoch_start():
@@ -89,23 +88,22 @@ def test_sep_threshold_normal_epoch_start():
     outcome = elect_cluster_heads(net, Protocol("sep"), 0, random.Random(0))
     normal = outcome.candidates < 2
     assert outcome.candidates[normal].tolist() == [0, 1]
-    assert outcome.thresholds[normal] == pytest.approx([1.0 / 11.0] * 2, rel=1e-12)
+    assert outcome.thresholds[normal] == pytest.approx([0.1] * 2, rel=1e-12)
 
 
 def test_sep_threshold_advanced_mid_epoch():
     net = sep_network()
-    assert epoch_length(2.0 / 11.0) == 6
-    outcome = elect_cluster_heads(net, Protocol("sep"), 4, random.Random(0))
+    outcome = elect_cluster_heads(net, Protocol("sep"), 3, random.Random(0))
     advanced = outcome.candidates >= 2
     assert outcome.candidates[advanced].tolist() == [2, 3]
-    # r mod 6 == 4: p_adv / (1 - 4*p_adv) == 2/3
-    assert outcome.thresholds[advanced] == pytest.approx([2.0 / 3.0] * 2, rel=1e-12)
+    # r mod 5 == 3: p_adv / (1 - 3*p_adv) == 0.5
+    assert outcome.thresholds[advanced] == pytest.approx([0.5] * 2, rel=1e-12)
 
 
 def test_sep_threshold_ineligible():
     net = sep_network()
     net.eligible[[1, 3]] = False
-    # round 3 refills neither class's eligibility (epochs of 11 and 6 rounds)
+    # round 3 refills neither class's eligibility (epochs of 10 and 5 rounds)
     outcome = elect_cluster_heads(net, Protocol("sep"), 3, random.Random(0))
     assert outcome.candidates.tolist() == [0, 2]
     assert not np.isin([1, 3], outcome.ch_ids).any()
@@ -118,7 +116,9 @@ def test_network_average_energy_two_point():
 
 
 def test_network_average_energy_all_dead():
-    assert network_average_energy([0.0, 0.0]) == 0.0
+    # DEEC divides by the average, and a directly built network may hold no energy
+    with pytest.raises(ValueError, match="must be positive"):
+        network_average_energy([0.0, 0.0])
 
 
 def test_network_average_energy_rejects_no_nodes():
@@ -131,85 +131,135 @@ def test_network_average_energy_weighted():
     assert network_average_energy(residuals) == pytest.approx(0.55, rel=1e-12)
 
 
+def deec_round_zero(residuals, advanced=(), **cfg_kwargs):
+    """DEEC's p for each of len(residuals) nodes, ids in `advanced` advanced:
+    at round 0 every node is a candidate and its threshold is its p."""
+    n = len(residuals)
+    classes = [ADVANCED if i in advanced else NORMAL for i in range(n)]
+    net = make_network([(float(i), 0.0) for i in range(n)], classes=classes, **cfg_kwargs)
+    net.residual[:] = residuals
+    outcome = elect_cluster_heads(net, Protocol("deec"), 0, random.Random(0))
+    assert outcome.candidates.tolist() == list(range(n))
+    return outcome.thresholds
+
+
+# node 0 (normal) and node 9 (the one advanced node) hold the average, 0.55
+AT_AVERAGE = [0.55] + [0.5, 0.6] * 4 + [0.55]
+
+
 def test_deec_probability_normal_at_average():
-    p = deec_probability(0.55, False, 0.1, 0.1, 1.0, avg_energy=0.55)
-    assert p == pytest.approx(0.1 / 1.1, rel=1e-12)
+    assert deec_round_zero(AT_AVERAGE, advanced={9})[0] == pytest.approx(0.1 / 1.1, rel=1e-12)
 
 
 def test_deec_probability_advanced_at_average():
-    p = deec_probability(0.55, True, 0.1, 0.1, 1.0, avg_energy=0.55)
-    assert p == pytest.approx(0.2 / 1.1, rel=1e-12)
+    assert deec_round_zero(AT_AVERAGE, advanced={9})[9] == pytest.approx(0.2 / 1.1, rel=1e-12)
 
 
 def test_deec_probability_vanishes_with_energy():
-    p = deec_probability(1e-12, False, 0.1, 0.1, 1.0, avg_energy=0.5)
+    p = deec_round_zero([1e-12] + [0.5] * 9)[0]
     assert 0 < p < 1e-10
 
 
 def test_deec_probability_clamps_to_one():
-    p = deec_probability(10.0, False, 0.5, 0.1, 1.0, avg_energy=0.01)
-    assert p == 1.0
+    assert deec_round_zero([10.0] + [0.01] * 9, p_opt=0.5)[0] == 1.0
 
 
 def test_deec_probability_rejects_degenerate_network():
-    with pytest.raises(ValueError):
-        deec_probability(0.5, False, 0.1, 0.1, 1.0, avg_energy=0.0)
-
-
-@given(st.floats(min_value=1e-3, max_value=0.5),
-       st.floats(min_value=0.01, max_value=0.9),
-       st.floats(min_value=0.0, max_value=5.0),
-       st.floats(min_value=1e-3, max_value=2.0))
-def test_deec_reduces_to_sep_at_equal_residuals(p_opt, m, alpha, energy):
-    p_nrm, p_adv = sep_probabilities(p_opt, m, alpha)
-    got_nrm = deec_probability(energy, False, p_opt, m, alpha, avg_energy=energy)
-    got_adv = deec_probability(energy, True, p_opt, m, alpha, avg_energy=energy)
-    assert got_nrm == pytest.approx(min(1.0, p_nrm), rel=1e-12)
-    assert got_adv == pytest.approx(min(1.0, p_adv), rel=1e-12)
-
-
-def test_deec_reference_weight_homogeneous():
-    assert deec_reference_weight([0.0, 0.0, 0.0], 0.1) == pytest.approx([0.1, 0.1, 0.1])
-
-
-def test_deec_reference_weight_two_level_hand_values():
-    weights = deec_reference_weight([0.0, 1.0], 0.1)
-    assert weights[0] == pytest.approx(0.1 * 2 * 1 / 3, rel=1e-12)
-    assert weights[1] == pytest.approx(0.1 * 2 * 2 / 3, rel=1e-12)
-
-
-def test_deec_reference_weight_rejects_no_nodes():
-    with pytest.raises(ValueError, match="at least one node"):
-        deec_reference_weight([], 0.1)
-
-
-def test_deec_reference_weight_single_node():
-    assert deec_reference_weight([3.0], 0.1) == pytest.approx([0.1], rel=1e-12)
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=30),
-       st.floats(min_value=1e-3, max_value=1.0))
-def test_deec_reference_weight_preserves_mean(alphas, p_opt):
-    weights = deec_reference_weight(alphas, p_opt)
-    assert sum(weights) / len(weights) == pytest.approx(p_opt, rel=1e-9)
+    with pytest.raises(ValueError, match="must be positive"):
+        deec_round_zero([0.0] * 4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=60), st.data(),
-       st.floats(min_value=1e-3, max_value=0.09),
+@given(st.floats(min_value=1e-3, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=10.0),
+       st.floats(min_value=1e-3, max_value=2.0),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=10**6))
+def test_deec_reduces_to_sep_at_equal_residuals(p_opt, m, alpha, energy, n, seed):
+    # with every residual equal, E_i / E_avg is 1 and DEEC's p is its class's
+    # SEP probability at the deployed share
+    cfg = NetworkConfig(node_count=n, p_opt=p_opt, adv_fraction=m, adv_energy_factor=alpha)
+    net = deploy(cfg, seed)
+    net.residual[:] = energy
+    p_nrm, p_adv = sep_probabilities(p_opt, np.count_nonzero(net.advanced) / n, alpha)
+    outcome = elect_cluster_heads(net, Protocol("deec"), 0, random.Random(0))
+    want = np.minimum(1.0, np.where(net.advanced, p_adv, p_nrm))
+    assert outcome.thresholds == pytest.approx(want, rel=1e-12)
+
+
+def reference_weights(alphas, p_opt):
+    """DEEC's multi-level weights (Qing et al. 2006), an oracle independent of
+    `sep_probabilities`: node i gets p_opt * N * (1 + alpha_i) / (N + sum(alpha))."""
+    n = len(alphas)
+    return [p_opt * n * (1.0 + a) / (n + sum(alphas)) for a in alphas]
+
+
+def test_deec_reference_weight_homogeneous():
+    # at alpha = 0 the classes weigh the same, so equal residuals give p_opt
+    assert deec_round_zero([0.5] * 3, advanced={1}, adv_energy_factor=0.0) == \
+        pytest.approx([0.1] * 3, rel=1e-12)
+
+
+def test_deec_reference_weight_two_level_hand_values():
+    # two nodes at equal residuals, one advanced with alpha = 1
+    assert deec_round_zero([0.5, 0.5], advanced={1}) == \
+        pytest.approx([0.1 * 2 * 1 / 3, 0.1 * 2 * 2 / 3], rel=1e-12)
+
+
+def test_deec_reference_weight_single_node():
+    # a lone node is all of the network: its weight is p_opt whatever its alpha
+    assert deec_round_zero([0.5], advanced={0}, adv_energy_factor=3.0) == \
+        pytest.approx([0.1], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=1e-3, max_value=1.0),
        st.floats(min_value=0.0, max_value=10.0),
        st.integers(min_value=0, max_value=10**6))
-def test_deec_at_average_energy_is_the_reference_weight(n, data, p_opt, alpha, seed):
-    # with m*N advanced nodes deployed, DEEC's weight at the network average
-    # is the multi-level reference weight of the deployed alphas
-    m = data.draw(st.integers(min_value=0, max_value=n)) / n
-    assume(m * n == int(m * n))
+def test_deec_at_average_energy_is_the_reference_weight(n, m, p_opt, alpha, seed):
+    # at equal residuals every node holds the average, and DEEC's p is the
+    # multi-level weight of the deployed alphas, whatever m * N is
     cfg = NetworkConfig(node_count=n, p_opt=p_opt, adv_fraction=m, adv_energy_factor=alpha)
-    advanced = deploy(cfg, seed).advanced
-    energy = cfg.initial_energy
-    got = deec_probability(energy, advanced, p_opt, m, alpha, avg_energy=energy)
-    want = deec_reference_weight((alpha * advanced).tolist(), p_opt)
-    assert got == pytest.approx(want, rel=1e-12)
+    net = deploy(cfg, seed)
+    net.residual[:] = cfg.initial_energy
+    outcome = elect_cluster_heads(net, Protocol("deec"), 0, random.Random(0))
+    want = reference_weights((alpha * net.advanced).tolist(), p_opt)
+    assert outcome.thresholds == pytest.approx(np.minimum(1.0, want), rel=1e-12)
+    if max(want) <= 1.0:
+        assert math.fsum(outcome.thresholds.tolist()) / n == pytest.approx(p_opt, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=10.0),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=10**6))
+def test_sep_round_zero_thresholds_use_the_deployed_split(p_opt, m, alpha, n, seed):
+    # deploy makes floor(m*N) nodes advanced; SEP weights by that count, so
+    # its nodes elect p_opt of themselves on average whatever m*N is
+    net = deploy(NetworkConfig(node_count=n, p_opt=p_opt, adv_fraction=m,
+                               adv_energy_factor=alpha), seed)
+    p_nrm, p_adv = sep_probabilities(p_opt, np.count_nonzero(net.advanced) / n, alpha)
+    outcome = elect_cluster_heads(net, Protocol("sep"), 0, random.Random(0))
+    assert outcome.candidates.tolist() == list(range(n))
+    assert outcome.thresholds.tolist() == np.where(net.advanced, min(1.0, p_adv),
+                                                   min(1.0, p_nrm)).tolist()
+    if p_adv <= 1.0:
+        assert math.fsum(outcome.thresholds.tolist()) / n == pytest.approx(p_opt, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sep", "deec"])
+def test_elections_weight_by_the_deployed_split_not_the_configured_one(name):
+    # the config says half the nodes are advanced; the network holds 1 in 10
+    net = make_network([(float(i), 0.0) for i in range(10)], classes=[ADVANCED] + [NORMAL] * 9,
+                       adv_fraction=0.5)
+    outcome = elect_cluster_heads(net, Protocol(name), 0, random.Random(0))
+    assert outcome.thresholds == pytest.approx([2 / 11] + [1 / 11] * 9, rel=1e-12)
+    assert math.fsum(outcome.thresholds.tolist()) / 10 == pytest.approx(0.1, rel=1e-12)
 
 
 # --- election -------------------------------------------------------------
@@ -284,7 +334,8 @@ def reference_election(network, protocol, r, rng):
     """Node by node: each alive node's p refills its own eligibility at its
     epoch wrap, and its threshold is leach_threshold(p_i, r, True)."""
     cfg = network.config
-    p_nrm, p_adv = sep_probabilities(cfg.p_opt, cfg.adv_fraction, cfg.adv_energy_factor)
+    share = np.count_nonzero(network.advanced) / len(network.advanced)
+    p_nrm, p_adv = sep_probabilities(cfg.p_opt, share, cfg.adv_energy_factor)
     eligible = network.eligible.copy()
     alive = network.alive.nonzero()[0].tolist()
     p = {}
@@ -631,10 +682,11 @@ def test_round_zero_thresholds_follow_the_config(p_opt, m, alpha, n, seed):
     cfg = NetworkConfig(node_count=n, p_opt=p_opt, adv_fraction=m, adv_energy_factor=alpha)
     net = deploy(cfg, seed)
     adv = net.advanced
+    share = adv.sum() / n
     energy = np.where(adv, cfg.initial_energy * (1.0 + alpha), cfg.initial_energy)
-    avg = cfg.initial_energy * (1.0 + alpha * adv.sum() / n)
-    deec = p_opt * energy / ((1.0 + alpha * m) * avg) * np.where(adv, 1.0 + alpha, 1.0)
-    p_nrm = p_opt / (1.0 + alpha * m)
+    avg = cfg.initial_energy * (1.0 + alpha * share)
+    deec = p_opt * energy / ((1.0 + alpha * share) * avg) * np.where(adv, 1.0 + alpha, 1.0)
+    p_nrm = p_opt / (1.0 + alpha * share)
     expected = {
         "leach": np.full(n, p_opt),
         "teen": np.full(n, p_opt),
