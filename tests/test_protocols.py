@@ -228,8 +228,19 @@ def test_deec_at_average_energy_is_the_reference_weight(n, m, p_opt, alpha, seed
     outcome = elect_cluster_heads(net, Protocol("deec"), 0, random.Random(0))
     want = reference_weights((alpha * net.advanced).tolist(), p_opt)
     assert outcome.thresholds == pytest.approx(np.minimum(1.0, want), rel=1e-12)
-    if max(want) <= 1.0:
-        assert math.fsum(outcome.thresholds.tolist()) / n == pytest.approx(p_opt, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=30),
+       st.floats(min_value=1e-3, max_value=1.0),
+       st.floats(min_value=0.0, max_value=10.0))
+def test_deec_reference_weight_preserves_mean(is_advanced, p_opt, alpha):
+    # at equal residuals the unclamped weights average to p_opt, for any class split
+    n = len(is_advanced)
+    assume(max(reference_weights([alpha * a for a in is_advanced], p_opt)) <= 1.0)
+    advanced = {i for i, a in enumerate(is_advanced) if a}
+    got = deec_round_zero([0.5] * n, advanced=advanced, p_opt=p_opt, adv_energy_factor=alpha)
+    assert math.fsum(got.tolist()) / n == pytest.approx(p_opt, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
