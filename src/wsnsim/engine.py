@@ -165,7 +165,6 @@ class SimulationState:
             debits += residual[dying].tolist()
             residual[dying] = 0.0
             net.alive[dying] = False
-            net.eligible[dying] = False
         alive_count = len(alive_ids) - len(dying)
 
         self.round_debits.append(math.fsum(debits))

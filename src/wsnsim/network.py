@@ -78,6 +78,14 @@ class NetworkConfig:
             raise ValueError("adv_energy_factor must be >= 0")
         if self.initial_energy <= 0:
             raise ValueError("initial_energy must be positive")
+        # the least class p, as sep_probabilities computes it at an advanced share
+        # of 1, needs a finite epoch 1/p; N*E*(1 + alpha) bounds the total energy
+        weight = 1.0 + self.adv_energy_factor
+        p_least = self.p_opt / weight
+        if not (p_least > 0 and math.isfinite(1.0 / p_least)):
+            raise ValueError(f"p_opt / (1 + adv_energy_factor) = {p_least!r} has no finite epoch 1/p")
+        if not math.isfinite(self.node_count * (self.initial_energy * weight)):
+            raise ValueError("node_count * initial_energy * (1 + adv_energy_factor) overflows")
         if self.packet_bits < 0:
             raise ValueError("packet_bits must be >= 0")
         # equality on the low side keeps the always-transmit degenerate case

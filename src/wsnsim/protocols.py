@@ -5,19 +5,19 @@ number and becomes CH when the draw falls below its threshold. They differ
 in how they turn the network config's p_opt and energy factor alpha into
 the threshold probability:
 
-- LEACH / TEEN use p_opt for every node.
 - SEP splits p_opt into class-weighted probabilities for normal and
   advanced nodes so advanced nodes take CH duty more often. It weights by
   the deployed class split, so the nodes elect p_opt of themselves on
   average even where deploy's floor(m*N) advanced nodes are not m*N.
+- LEACH / TEEN are SEP at alpha = 0: p_opt for every node.
 - DEEC scales each node's SEP class probability by its residual energy
   relative to the current network average, so depleted nodes skip CH duty.
 
-A node that becomes CH leaves the eligibility set until its epoch
-(round(1/p) rounds) wraps around; the set also refills whenever it runs
-empty. TEEN additionally gates member transmissions behind hard/soft
-sensing thresholds and forwards CH packets hop-by-hop toward the base
-station instead of directly.
+Every threshold is LEACH's T(n) at the node's p (`election_threshold`). A
+node that becomes CH leaves the eligibility set until its epoch (round(1/p)
+rounds) wraps around; the set also refills whenever it runs empty. TEEN
+also gates member transmissions behind hard/soft sensing thresholds and
+forwards CH packets hop by hop toward the base station, not directly.
 """
 
 from __future__ import annotations
@@ -76,26 +76,20 @@ def _check_probability(p) -> None:
 
 
 def epoch_length(p):
-    """Rounds until a former CH becomes eligible again: round(1/p), at least 1.
+    """Rounds until a former CH becomes eligible again: round(1/p), >= 1 as p <= 1.
 
     Rounds half to even, as Python's round does; array-capable, as a float.
     """
     _check_probability(p)
-    return np.maximum(1.0, np.rint(1.0 / np.asarray(p, dtype=float)))
+    return np.rint(1.0 / np.asarray(p, dtype=float))
 
 
-def leach_threshold(p, round_index: int, eligible):
-    """Election threshold T(n) = p / (1 - p * (r mod round(1/p))), 0 if ineligible.
+def election_threshold(p, r_mod):
+    """LEACH's T(n) = p / (1 - p * r_mod), `r_mod` rounds into an epoch, clamped to 1.
 
-    The threshold ramps up within an epoch so that nodes still waiting get
-    elected with certainty by the epoch's final round. Clamped to 1.
-    Array-capable in `p` and `eligible`.
+    It reaches 1 in an epoch's last round only if round(1/p) >= 1/p, less a
+    rounding error (p = 0.3 ends at 0.75); nodes left over wait for the wrap.
     """
-    return np.where(eligible, _ramp(p, round_index % epoch_length(p)), 0.0)
-
-
-def _ramp(p, r_mod):
-    """T(n) of an eligible node `r_mod` rounds into its epoch, clamped to 1."""
     return np.minimum(1.0, p / (1.0 - p * r_mod))
 
 
@@ -103,7 +97,7 @@ def _ramp(p, r_mod):
 def _class_round(p: float, r_mod: int) -> tuple[bool, float]:
     """Whether a class electing with probability p refills its eligibility
     `r_mod` rounds into its epoch, and its threshold there."""
-    return r_mod == 0, float(_ramp(p, r_mod))
+    return r_mod == 0, float(election_threshold(p, r_mod))
 
 
 # cached: DEEC asks for its class p every round, and the check is numpy work
@@ -136,13 +130,10 @@ def network_average_energy(residuals: list[float]) -> float:
 
 
 @lru_cache(maxsize=256)
-def _classes(name: str, p_opt: float, m: float, alpha: float) -> tuple[tuple[float, int], ...]:
-    """LEACH, TEEN and SEP's (p, epoch in rounds) for normal, then advanced nodes."""
-    p = (p_opt, p_opt)
-    if name == "sep":
-        # a p above 1 means a one-round epoch and a threshold of 1, as p = 1 does
-        p = tuple(min(1.0, q) for q in sep_probabilities(p_opt, m, alpha))
-    return tuple((q, int(epoch_length(q))) for q in p)
+def _classes(p_nrm: float, p_adv: float) -> tuple[tuple[float, int], ...]:
+    """(p, epoch in rounds) for normal, then advanced nodes; a p above 1 means
+    a one-round epoch and a threshold of 1, as p = 1 does."""
+    return tuple((q, int(epoch_length(q))) for q in (min(1.0, p_nrm), min(1.0, p_adv)))
 
 
 def elect_cluster_heads(network: Network, protocol: Protocol,
@@ -156,23 +147,23 @@ def elect_cluster_heads(network: Network, protocol: Protocol,
     ids = network.alive.nonzero()[0]
     eligible = network.eligible
     cfg = network.config
-    # SEP and DEEC weight the classes by the deployed advanced share
+    # classes weigh by the deployed advanced share; LEACH and TEEN are SEP at alpha = 0
     share = np.count_nonzero(network.advanced) / len(network.advanced)
+    alpha = cfg.adv_energy_factor if protocol.name in ("sep", "deec") else 0.0
+    p_nrm, p_adv = sep_probabilities(cfg.p_opt, share, alpha)
     if protocol.name == "deec":
         # p = min(1, p_class * E_i / E_avg), and with it the epoch, differs
         # from node to node; a p above 1 late in life clamps to 1
-        p_nrm, p_adv = sep_probabilities(cfg.p_opt, share, cfg.adv_energy_factor)
         avg_energy = network_average_energy(network.residual.tolist())
         p = np.minimum(1.0, np.where(network.advanced[ids], p_adv, p_nrm)
                        * network.residual[ids] / avg_energy)
         r_mod = round_index % epoch_length(p)
         eligible[ids[r_mod == 0]] = True
-        threshold = _ramp(p, r_mod)
+        threshold = election_threshold(p, r_mod)
     else:
         # p depends only on a node's class: each class's epoch wrap and
         # threshold are worked out once and broadcast to its nodes
-        (p_nrm, epoch_nrm), (p_adv, epoch_adv) = _classes(
-            protocol.name, cfg.p_opt, share, cfg.adv_energy_factor)
+        (p_nrm, epoch_nrm), (p_adv, epoch_adv) = _classes(p_nrm, p_adv)
         wrap_nrm, t_nrm = _class_round(p_nrm, round_index % epoch_nrm)
         wrap_adv, t_adv = _class_round(p_adv, round_index % epoch_adv)
         advanced = network.advanced[ids]

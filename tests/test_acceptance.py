@@ -33,7 +33,6 @@ from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import (
     Protocol,
     elect_cluster_heads,
-    leach_threshold,
     make_protocol,
     sep_probabilities,
 )
@@ -90,10 +89,12 @@ def test_criterion_1_energy_model_exactness():
 
 def test_criterion_2_threshold_algebra():
     failures = []
-    if not leach_threshold(0.1, 0, True) == pytest.approx(0.1, rel=1e-12):
-        failures.append("epoch-start threshold != 0.1")
-    if not leach_threshold(0.1, 9, True) == pytest.approx(1.0, rel=1e-12):
-        failures.append("epoch-end threshold != 1.0")
+    # the thresholds LEACH elects with on a fresh default deployment
+    for r, want, label in ((0, 0.1, "epoch-start"), (9, 1.0, "epoch-end")):
+        outcome = elect_cluster_heads(deploy(NetworkConfig(), 1), Protocol("leach"), r,
+                                      random.Random(0))
+        if not outcome.thresholds.tolist() == pytest.approx([want] * 100, rel=1e-12):
+            failures.append(f"{label} thresholds != {want}")
     for p_opt in (0.05, 0.1, 0.2, 0.37):
         for m in (0.0, 0.1, 0.25, 0.6):
             for alpha in (0.0, 0.5, 1.0, 3.0):

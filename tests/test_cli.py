@@ -423,6 +423,21 @@ def test_non_finite_override_rejected_before_any_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,key", [
+    (["p_opt=5e-324"], "p_opt"),
+    (["p_opt=1e-308", "adv_energy_factor=10"], "p_opt"),
+    (["initial_energy=1e307"], "initial_energy"),
+])
+def test_overflowing_config_rejected_before_any_file(tmp_path, capsys, overrides, key):
+    out = tmp_path / "out"
+    code = run_cli("run", "--protocol", "sep", *[f"--override={o}" for o in overrides],
+                   "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_unknown_protocol_rejected_before_any_file(tmp_path, capsys, command):
     out = tmp_path / "out"

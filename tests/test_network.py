@@ -151,7 +151,8 @@ valid_configs = st.builds(
     node_count=st.integers(min_value=1, max_value=10**6),
     bs_position=st.tuples(_floats(-1e4, 1e4), _floats(-1e4, 1e4)),
     initial_energy=_floats(1e-12, 1e3),
-    p_opt=_floats(0.0, 1.0, exclude_min=True),
+    # from 1e-300, as a p_opt whose class epochs 1/p overflow is rejected
+    p_opt=_floats(1e-300, 1.0),
     adv_fraction=_floats(0.0, 1.0),
     adv_energy_factor=_floats(0.0, 10.0),
     packet_bits=st.integers(min_value=0, max_value=10**6),
@@ -252,6 +253,27 @@ def test_config_rejects_non_finite_values(name, value):
     bad = (value, 50.0) if name == "bs_position" else value
     with pytest.raises(ValueError, match=name):
         replace(NetworkConfig(), **{name: bad})
+
+
+@pytest.mark.parametrize("items,key", [
+    ({"p_opt": 5e-324}, "p_opt"),
+    # SEP's p_nrm is 5e-309 here, and 1/p_nrm overflows though 1/p_opt does not
+    ({"p_opt": 1e-308, "adv_energy_factor": 10.0}, "p_opt"),
+    # a directly built Network may hold any class split, so adv_fraction cannot help
+    ({"p_opt": 1e-308, "adv_energy_factor": 10.0, "adv_fraction": 0.0}, "adv_energy_factor"),
+    ({"initial_energy": 1e307}, "initial_energy"),
+    ({"initial_energy": 1e306, "adv_energy_factor": 1e3, "node_count": 1}, "initial_energy"),
+])
+def test_config_rejects_values_that_overflow(items, key):
+    with pytest.raises(ValueError, match=key):
+        NetworkConfig(**items)
+
+
+def test_config_accepts_values_just_inside_overflow():
+    # the least class p is 1e-307 / 11, whose epoch 1/p is finite; 100 nodes
+    # hold at most 100 * 5e305 * 2 J
+    assert NetworkConfig(p_opt=1e-307, adv_energy_factor=10.0).p_opt == 1e-307
+    assert NetworkConfig(initial_energy=5e305).initial_energy == 5e305
 
 
 def test_nan_energy_is_rejected_before_a_run():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,9 +13,9 @@ from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, deploy
 from wsnsim.protocols import (
     Protocol,
     elect_cluster_heads,
+    election_threshold,
     epoch_length,
     form_clusters,
-    leach_threshold,
     make_protocol,
     network_average_energy,
     sep_probabilities,
@@ -36,22 +37,41 @@ def assignment(clusters):
 
 # --- thresholds -----------------------------------------------------------
 
-def test_leach_threshold_epoch_start():
-    assert leach_threshold(0.1, 0, True) == pytest.approx(0.1, rel=1e-12)
+def test_election_threshold_epoch_start():
+    assert election_threshold(0.1, 0) == pytest.approx(0.1, rel=1e-12)
 
 
-def test_leach_threshold_epoch_end_is_one():
-    assert leach_threshold(0.1, 9, True) == 1.0
+def test_election_threshold_epoch_end_is_one():
+    assert epoch_length(0.1) == 10
+    assert election_threshold(0.1, 9) == 1.0
 
 
-def test_leach_threshold_ineligible_is_zero():
-    assert leach_threshold(0.1, 9, False) == 0.0
+def test_election_threshold_need_not_reach_one():
+    # round(1/0.3) = 3 rounds, and the last one's T(n) is 0.3 / (1 - 0.6)
+    assert epoch_length(0.3) == 3
+    assert election_threshold(0.3, 2) == pytest.approx(0.75, rel=1e-12)
 
 
-def test_leach_threshold_rejects_bad_probability():
+def test_epoch_length_rejects_bad_probability():
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            leach_threshold(p, 0, True)
+            epoch_length(p)
+
+
+# the least p_opt a config accepts (at alpha = 0): the least p whose 1/p is finite
+P_LEAST = math.nextafter(1.0 / sys.float_info.max, 1.0)
+
+
+def test_p_least_is_the_configs_floor():
+    assert NetworkConfig(p_opt=P_LEAST, adv_energy_factor=0.0).p_opt == P_LEAST
+    with pytest.raises(ValueError, match="p_opt"):
+        NetworkConfig(p_opt=math.nextafter(P_LEAST, 0.0), adv_energy_factor=0.0)
+
+
+@given(st.floats(min_value=P_LEAST, max_value=1.0))
+def test_epoch_length_is_pythons_round(p):
+    assert float(epoch_length(p)) == round(1 / p)
+    assert epoch_length(p) >= 1
 
 
 def test_sep_probabilities_hand_values():
@@ -343,7 +363,7 @@ def test_deec_election_prefers_energetic_nodes():
 
 def reference_election(network, protocol, r, rng):
     """Node by node: each alive node's p refills its own eligibility at its
-    epoch wrap, and its threshold is leach_threshold(p_i, r, True)."""
+    epoch wrap, and its threshold is election_threshold(p_i, r mod epoch)."""
     cfg = network.config
     share = np.count_nonzero(network.advanced) / len(network.advanced)
     p_nrm, p_adv = sep_probabilities(cfg.p_opt, share, cfg.adv_energy_factor)
@@ -359,7 +379,7 @@ def reference_election(network, protocol, r, rng):
     if not any(eligible[i] for i in alive):
         eligible[alive] = True
     candidates = [i for i in alive if eligible[i]]
-    thresholds = [float(leach_threshold(p[i], r, True)) for i in candidates]
+    thresholds = [float(election_threshold(p[i], r % epoch_length(p[i]))) for i in candidates]
     for i, threshold in zip(candidates, thresholds):
         if rng.random() < threshold:
             eligible[i] = False
