@@ -66,13 +66,15 @@ def parse_protocols(spec: str) -> list[Protocol]:
     return protocols
 
 
-def _load_effective_config(args) -> NetworkConfig:
-    """The command's default config or the config file over it, then --override and --max-rounds."""
+def _load_effective_config(args, simulate: bool = False) -> NetworkConfig:
+    """The default config or the config file over it, then --override and --max-rounds."""
     config = load_config(args.config, base=args.default_config) if args.config else args.default_config
     config = config_from_items(dict(split_entry(entry, "--override") for entry in args.override),
                                base=config)
     if args.max_rounds is not None:
         config = replace(config, max_rounds=args.max_rounds)
+    if simulate and config.max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1 to run a simulation")
     return config
 
 
@@ -94,13 +96,11 @@ def _sweep(args) -> int:
     Each seed is deployed once for its topology file, which every protocol
     shares; every check runs before the output directory is created.
     """
-    config = _load_effective_config(args)
+    config = _load_effective_config(args, simulate=True)
     protocols = parse_protocols(args.protocol)
     if args.compare and len(protocols) < 2:
         raise ValueError("compare needs at least two protocols")
     seeds = parse_seeds(args.seeds)
-    if config.max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1 to run a simulation")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -147,7 +147,7 @@ def cmd_bound(args) -> int:
                 raise ValueError(f"--{name.replace('_', '-')} needs --from-network")
         instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
     else:
-        config = _load_effective_config(args)
+        config = _load_effective_config(args, simulate=bool(args.check_sim))
         seed = 1 if args.seed is None else args.seed
         instance = bound_for_simulated_network(
             deploy(config, seed), k_max=MAX_ROUNDS if args.k_max is None else args.k_max,

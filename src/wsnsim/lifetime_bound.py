@@ -29,8 +29,10 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Optional
 
+import numpy as np
+
 from .energy_model import crossover_distance, tx_energy
-from .network import Network
+from .network import Network, euclidean
 
 MAX_SENSORS = 8
 MAX_CHS = 4
@@ -400,7 +402,7 @@ def bound_for_simulated_network(network: Network, k_max: int = MAX_ROUNDS,
     radio = config.radio
     d0 = crossover_distance(radio)
     if max_range is None:
-        max_range = math.hypot(config.field_width, config.field_height)
+        max_range = euclidean(np.array([config.field_width]), np.array([config.field_height])).item()
     elif not (math.isfinite(max_range) and max_range > 0):
         raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
     bits = config.packet_bits

@@ -5,8 +5,8 @@ state (residual energy, liveness, CH eligibility, TEEN's last reported
 value) live in numpy arrays on the `Network`, indexed by node id. Node
 positions never change, so each node's distance to the base station is
 computed once at deployment. Node-to-node distances are computed on
-demand, one block per query (`Network.distances`), so memory stays O(N)
-plus the block. Every distance goes through `euclidean`.
+demand by the nearest-CH search, in blocks, so memory stays O(N) plus a
+block. Every distance goes through `euclidean`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .energy_model import RadioParams
+from .energy_model import RadioParams, aggregation_energy, rx_energy, tx_energy
 
 NORMAL = "normal"
 ADVANCED = "advanced"
@@ -88,6 +88,16 @@ class NetworkConfig:
             raise ValueError("node_count * initial_energy * (1 + adv_energy_factor) overflows")
         if self.packet_bits < 0:
             raise ValueError("packet_bits must be >= 0")
+        # a round sends, hears and fuses each packet at most once, no farther than the
+        # field's diagonal or the BS's distance to a corner; N such packets must stay finite
+        (bx, by), w, h, bits = self.bs_position, self.field_width, self.field_height, self.packet_bits
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = euclidean(np.array([w, bx, bx, bx - w, bx - w]), np.array([h, by, by - h, by, by - h]))
+            packet = (tx_energy(self.radio, bits, reach.max()) + rx_energy(self.radio, bits)
+                      + aggregation_energy(self.radio, bits, 1))
+        if not math.isfinite(self.node_count * packet):
+            raise ValueError("node_count * one packet's cost over field_width x field_height or to "
+                             "bs_position overflows (packet_bits, e_elec, e_fs, e_mp, e_da)")
         # equality on the low side keeps the always-transmit degenerate case
         # (hard threshold at the sensing floor) expressible
         if not (self.teen_sense_min <= self.teen_hard_threshold < self.teen_sense_max):
@@ -154,11 +164,6 @@ class Network:
         """(id, x, y, class, initial energy) per node, as Python values."""
         return zip(range(len(self.x)), self.x.tolist(), self.y.tolist(),
                    np.where(self.advanced, ADVANCED, NORMAL).tolist(), self.initial_energy.tolist())
-
-    def distances(self, rows, cols) -> np.ndarray:
-        """Distances from each node in `rows` to each node in `cols`."""
-        return euclidean(self.x[rows][:, None] - self.x[cols],
-                         self.y[rows][:, None] - self.y[cols])
 
     def total_residual_energy(self) -> float:
         return math.fsum(self.residual.tolist())

@@ -213,68 +213,59 @@ def form_clusters(network: Network, ch_ids) -> Clusters:
 # runs on a 2-vCPU host, the two break even at about 100 CHs for cluster
 # formation (about 9 members per CH) and 250 CHs for TEEN's next hops.
 _GRID_MIN_BLOCK = 1 << 16
-# candidate entries per row block of a grid search
 _GRID_BLOCK_ENTRIES = 8192
 
 
 def _nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
                 closer_to_bs: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """For each node in `rows`, the index into `chs` (ascending ids) of its
-    nearest CH and the distance to it; ties go to the lowest id.
+    nearest CH and the distance to it, each block searched by `_block_nearest`.
 
     With `closer_to_bs`, only CHs strictly closer to the BS than the row's
-    node count, and a row with none gets index 0 at distance inf. From
-    `_GRID_MIN_BLOCK` rows x CHs on, each row searches only the CHs in its 3x3
-    neighbourhood of grid cells; a row whose best candidate is not nearer
-    than the neighbourhood's edge (with a relative slack of 1e-9) searches
-    every CH instead. Both paths compute distances with `euclidean`, so the
-    answer is always the dense block's, to the bit.
+    node count (none: index 0 at distance inf). From `_GRID_MIN_BLOCK` rows x
+    CHs on, a row searches the CHs in its 3x3 neighbourhood of grid cells, and
+    every CH when its best is not nearer than the neighbourhood's edge (less a
+    relative 1e-9), so the grid never changes an answer's bits.
     """
+    cx, cy = network.x[chs], network.y[chs]
+    cbs = network.dist_to_bs[chs] if closer_to_bs else None
     if len(rows) * len(chs) < _GRID_MIN_BLOCK:
-        return _dense_nearest_ch(network, rows, chs, closer_to_bs)
-    x, y, to_bs = network.x, network.y, network.dist_to_bs
-    table, qcell, margin = _grid_candidates(np.stack((x[chs], y[chs])),
-                                            np.stack((x[rows], y[rows])))
+        return _block_nearest(network, rows, cx, cy, cbs)
+    table, qcell, margin = _grid_candidates(np.stack((cx, cy)),
+                                            np.stack((network.x[rows], network.y[rows])))
     # padding (index len(chs)) sits at infinity, so it is never nearest
-    cx, cy, cbs = (np.append(v[chs], np.inf) for v in (x, y, to_bs))
-    nearest = np.empty(len(rows), dtype=np.intp)
-    distances = np.empty(len(rows))
-    # row blocks keep each temporary small: larger ones were page-faulted
-    # in afresh on every call, which cost more than the search
-    step = max(1, _GRID_BLOCK_ENTRIES // table.shape[1])
-    for start in range(0, len(rows), step):
-        part = rows[start:start + step]
-        cand = table[qcell[start:start + step]]
-        dx = cx[cand]
-        dy = cy[cand]
-        block = euclidean(np.subtract(x[part][:, None], dx, out=dx),
-                          np.subtract(y[part][:, None], dy, out=dy))
-        if closer_to_bs:
-            block[~(cbs[cand] < to_bs[part][:, None])] = np.inf
-        picked = np.arange(len(part)), block.argmin(axis=1)
-        nearest[start:start + step] = cand[picked]
-        distances[start:start + step] = block[picked]
-    # rows not surely settled search every CH, in dense blocks of the size
-    # searched below the cutoff
+    padded = [v if v is None else np.append(v, np.inf) for v in (cx, cy, cbs)]
+    nearest, distances = np.empty(len(rows), dtype=np.intp), np.empty(len(rows))
+    for block in _row_blocks(len(rows), table.shape[1]):
+        cand = table[qcell[block]]
+        column, distances[block] = _block_nearest(
+            network, rows[block], *(v if v is None else v[cand] for v in padded))
+        nearest[block] = cand[np.arange(len(cand)), column]
     unsure = (~(distances < margin * (1.0 - 1e-9))).nonzero()[0]
-    step = max(1, (_GRID_MIN_BLOCK - 1) // len(chs))
-    for start in range(0, len(unsure), step):
-        part = unsure[start:start + step]
-        nearest[part], distances[part] = _dense_nearest_ch(network, rows[part], chs, closer_to_bs)
+    for block in _row_blocks(len(unsure), len(chs)):
+        part = unsure[block]
+        nearest[part], distances[part] = _block_nearest(network, rows[part], cx, cy, cbs)
     return nearest, distances
 
 
-def _dense_nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
-                      closer_to_bs: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`_nearest_ch` over the whole rows x CHs block."""
-    block = network.distances(rows, chs)
-    if closer_to_bs:
-        to_bs = network.dist_to_bs
-        block[~(to_bs[chs] < to_bs[rows][:, None])] = np.inf
-    # argmin returns the first minimum, so the ascending CH columns break
-    # ties toward the lowest CH id
-    nearest = block.argmin(axis=1)
-    return nearest, block[np.arange(len(rows)), nearest]
+def _row_blocks(count: int, width: int):
+    """Slices of `count` rows of `width` entries each, `_GRID_BLOCK_ENTRIES` entries to a block:
+    larger temporaries were page-faulted in afresh on every call, which cost more than the search."""
+    step = max(1, _GRID_BLOCK_ENTRIES // width)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _block_nearest(network: Network, rows: np.ndarray, cx, cy, cbs) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest candidate, as its column and distance; ties go to
+    the first column (argmin's), the lowest id as columns ascend. `cx`, `cy`
+    and `cbs` (distances to the BS, or None) are 1-D, shared by every row, or
+    2-D, one row per row; with `cbs`, only candidates strictly closer to the
+    BS than the row's node count (none: column 0 at distance inf)."""
+    block = euclidean(network.x[rows][:, None] - cx, network.y[rows][:, None] - cy)
+    if cbs is not None:
+        block[~(cbs < network.dist_to_bs[rows][:, None])] = np.inf
+    column = block.argmin(axis=1)
+    return column, block[np.arange(len(rows)), column]
 
 
 def _grid_candidates(points: np.ndarray,

@@ -244,7 +244,7 @@ def test_criterion_8_ledger_and_determinism(sweep):
     failures = []
     for name in PROTOCOLS:
         for result in results[name]:
-            initial = sum(n.initial_energy for n in deploy(cfg, result.seed).nodes)
+            initial = sum(deploy(cfg, result.seed).initial_energy.tolist())
             totals = [initial] + [m.total_residual_energy for m in result.trace]
             for before, after, debit in zip(totals, totals[1:], result.round_debits):
                 if abs((before - after) - debit) > 1e-9:

@@ -427,6 +427,13 @@ def test_non_finite_override_rejected_before_any_file(tmp_path, capsys):
     (["p_opt=5e-324"], "p_opt"),
     (["p_opt=1e-308", "adv_energy_factor=10"], "p_opt"),
     (["initial_energy=1e307"], "initial_energy"),
+    # a packet's cost overflows: these used to fail mid-run, after the
+    # output directory was made
+    (["field_width=1e80", "field_height=1e80"], "field_width"),
+    (["e_mp=1e300"], "e_mp"),
+    (["bs_position=1e90,0"], "bs_position"),
+    (["field_width=1e200", "field_height=1e200"], "field_width"),
+    (["e_da=1e303"], "e_da"),
 ])
 def test_overflowing_config_rejected_before_any_file(tmp_path, capsys, overrides, key):
     out = tmp_path / "out"
@@ -436,6 +443,44 @@ def test_overflowing_config_rejected_before_any_file(tmp_path, capsys, overrides
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+def test_check_sim_with_overflowing_transmissions_rejected_before_any_file(tmp_path, capsys):
+    # bound used to write both of its files before the LEACH run failed
+    out = tmp_path / "out"
+    code = run_cli("bound", "--from-network", "--check-sim", "--override=field_width=1e80",
+                   "--override=field_height=1e80", "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: node_count * one packet's cost")
+    assert "K* =" not in captured.out
+    assert not out.exists()
+
+
+def test_transmissions_just_inside_overflow_complete_a_round(tmp_path):
+    # one packet across a 5e79 m square field costs about 1.3e308 J: one node
+    # may send it, while two are refused
+    field = ["--override=field_width=5e79", "--override=field_height=5e79"]
+    assert run_cli("run", "--max-rounds", "1", "--override=node_count=2", *field,
+                   "--out", str(tmp_path / "two")) == 2
+    out = tmp_path / "one"
+    assert run_cli("run", "--max-rounds", "1", "--override=node_count=1", *field,
+                   "--out", str(out)) == 0
+    assert len((out / "leach_seed1_trace.csv").read_text().splitlines()) == 2
+
+
+def test_check_sim_zero_max_rounds_rejected_before_any_file(tmp_path, capsys):
+    # the rule `run` applies: a simulation needs a round; without --check-sim
+    # bound runs none, so it takes any max_rounds
+    out = tmp_path / "out"
+    code = run_cli("bound", "--from-network", "--check-sim", "--max-rounds", "0",
+                   "--override", "initial_energy=1.04mJ", "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: max_rounds must be >= 1 to run a simulation\n"
+    assert "K* =" not in captured.out
+    assert not out.exists()
+    assert run_cli("bound", "--from-network", "--max-rounds", "0", "--out", str(out)) == 0
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -12,6 +12,11 @@ SOURCE = Path(wsnsim.__file__).parent
 UNCALLED = {
     "solve_exhaustive": "the oracle that tests and the benchmark check solve_exact against",
 }
+# methods and properties that library code need not use, with the reason
+UNUSED_MEMBERS = {
+    "Network.nodes": "the record view that only perfbench reads, and only a benchmark change may edit perfbench",
+    "Schedule.objective": "only perfbench reads it, and only a benchmark change may edit perfbench",
+}
 
 
 def _top_level_definitions(tree):
@@ -26,10 +31,14 @@ def _uses(tree):
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def test_every_top_level_definition_has_a_library_caller():
+def _library_modules():
     # __init__ only re-exports, so its imports are no use
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def test_every_top_level_definition_has_a_library_caller():
+    modules = _library_modules()
     uses = sum((_uses(tree) for tree in modules.values()), Counter())
     defined, uncalled = set(), []
     for module, tree in modules.items():
@@ -41,3 +50,47 @@ def test_every_top_level_definition_has_a_library_caller():
                 uncalled.append(f"{module}.{name}")
     assert uncalled == []
     assert set(UNCALLED) <= defined
+
+
+def _member_uses(tree):
+    """How often each name is called as a method (`x.name(...)`), and how often
+    it is read as an attribute (`x.name`, which is how a property is used)."""
+    called = Counter(node.func.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
+    read = Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return called, read
+
+
+def _is_property(method):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in method.decorator_list)
+
+
+def test_every_method_and_property_has_a_library_user():
+    # a method counts as used when library code calls it by that name, and a
+    # property when library code reads it; a field read (`clusters.distances`)
+    # does not make a method of the same name used
+    modules = _library_modules()
+    uses = [_member_uses(tree) for tree in modules.values()]
+    called = sum((c for c, _ in uses), Counter())
+    read = sum((r for _, r in uses), Counter())
+    unused = []
+    for tree in modules.values():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = method.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                qualified = f"{cls.name}.{name}"
+                # the member's own body (recursion) is no use
+                own_called, own_read = _member_uses(method)
+                if _is_property(method):
+                    used = read[name] > own_read[name]
+                else:
+                    used = called[name] > own_called[name]
+                if not used:
+                    unused.append(qualified)
+    # an allowance for a member that is gone, or now used, fails too
+    assert sorted(unused) == sorted(UNUSED_MEMBERS)

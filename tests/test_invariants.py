@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnsim import engine
+from wsnsim.energy_model import RadioParams
 from wsnsim.engine import SimulationState, run_simulation, summary_dict
 from wsnsim.metrics import run_metrics
 from wsnsim.network import NetworkConfig, deploy
@@ -100,3 +101,27 @@ def test_summary_and_metrics_agree_with_the_trace(cfg, max_rounds, name, seed):
     assert metrics["network_lifetime"] == (len(trace) if lifetime is None else lifetime)
     assert metrics["instability_period"] == metrics["network_lifetime"] - metrics["stability_period"]
     assert metrics["total_packets_to_bs"] == summary["total_packets_to_bs"]
+
+
+# powers of ten from everyday values up to past where a packet's cost overflows
+# (a 1e77 m hop already costs more than a float holds at the default radio)
+exponents = st.integers(min_value=-15, max_value=80)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=4000),
+       st.lists(exponents, min_size=8, max_size=8), st.sampled_from(PROTOCOL_NAMES),
+       st.integers(min_value=0, max_value=10**6))
+def test_every_accepted_config_keeps_a_finite_ledger(n, bits, powers, name, seed):
+    # a config that NetworkConfig accepts, however large its field, BS offset
+    # or radio constants, runs rounds whose debits and residuals are finite
+    width, height, bs_x, bs_y, *radio = (10.0 ** p for p in powers)
+    try:
+        cfg = NetworkConfig(node_count=n, packet_bits=bits, field_width=width, field_height=height,
+                            bs_position=(bs_x, -bs_y), radio=RadioParams(*radio), max_rounds=3)
+    except ValueError as exc:
+        assert "overflows" in str(exc)
+        return
+    result = run_simulation(cfg, Protocol(name), seed)
+    assert all(math.isfinite(debit) for debit in result.round_debits)
+    assert all(math.isfinite(m.total_residual_energy) for m in result.trace)

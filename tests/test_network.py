@@ -17,6 +17,7 @@ from wsnsim.network import (
     config_as_items,
     config_from_items,
     deploy,
+    euclidean,
     load_config,
 )
 
@@ -114,12 +115,12 @@ def test_total_initial_energy_heterogeneous():
 
 def test_precomputed_geometry_matches_distance():
     net = deploy(NetworkConfig(node_count=12), seed=7)
-    block = net.distances(range(12), range(12))
     x, y = net.x.tolist(), net.y.tolist()
     bs_x, bs_y = net.config.bs_position
     for a in range(12):
+        row = euclidean(net.x[a] - net.x, net.y[a] - net.y)
         for b in range(12):
-            assert block[a, b] == pytest.approx(math.hypot(x[a] - x[b], y[a] - y[b]), abs=1e-12)
+            assert row[b] == pytest.approx(math.hypot(x[a] - x[b], y[a] - y[b]), abs=1e-12)
         assert net.dist_to_bs[a] == pytest.approx(math.hypot(x[a] - bs_x, y[a] - bs_y), abs=1e-12)
 
 
@@ -263,6 +264,13 @@ def test_config_rejects_non_finite_values(name, value):
     ({"p_opt": 1e-308, "adv_energy_factor": 10.0, "adv_fraction": 0.0}, "adv_energy_factor"),
     ({"initial_energy": 1e307}, "initial_energy"),
     ({"initial_energy": 1e306, "adv_energy_factor": 1e3, "node_count": 1}, "initial_energy"),
+    # a packet sent across the field, or to a far BS, costs more than a float holds
+    ({"field_width": 1e80, "field_height": 1e80}, "field_width"),
+    ({"bs_position": (1e90, 0.0)}, "bs_position"),
+    ({"radio": RadioParams(e_mp=1e300)}, "e_mp"),
+    # fusing 100 reports: 4000 bits * 1e303 J/bit each, summed over the nodes
+    ({"radio": RadioParams(e_da=1e303)}, "e_da"),
+    ({"packet_bits": 0, "field_width": 1e100}, "packet_bits"),
 ])
 def test_config_rejects_values_that_overflow(items, key):
     with pytest.raises(ValueError, match=key):
@@ -274,6 +282,10 @@ def test_config_accepts_values_just_inside_overflow():
     # hold at most 100 * 5e305 * 2 J
     assert NetworkConfig(p_opt=1e-307, adv_energy_factor=10.0).p_opt == 1e-307
     assert NetworkConfig(initial_energy=5e305).initial_energy == 5e305
+    # one packet across a 5e79 m square field costs about 1.3e308 J
+    assert NetworkConfig(node_count=1, field_width=5e79, field_height=5e79).node_count == 1
+    with pytest.raises(ValueError, match="node_count"):
+        NetworkConfig(node_count=2, field_width=5e79, field_height=5e79)
 
 
 def test_nan_energy_is_rejected_before_a_run():

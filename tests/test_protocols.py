@@ -35,6 +35,12 @@ def assignment(clusters):
     return dict(zip(clusters.members.tolist(), clusters.heads.tolist()))
 
 
+def distance(net, a, b):
+    """From node a to node b, with `network.euclidean`'s float operations."""
+    dx, dy = net.x[a] - net.x[b], net.y[a] - net.y[b]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 # --- thresholds -----------------------------------------------------------
 
 def test_election_threshold_epoch_start():
@@ -447,8 +453,8 @@ def test_form_clusters_total_on_alive_non_chs(n, seed):
     clusters = form_clusters(net, ch_ids)
     assert set(clusters.members.tolist()) == set(alive_ids) - set(ch_ids)
     for member, ch, d in zip(clusters.members, clusters.heads, clusters.distances):
-        assert d == net.distances([member], [ch])[0, 0]
-        assert all(d <= net.distances([member], [other])[0, 0] + 1e-12 for other in ch_ids)
+        assert d == distance(net, member, ch)
+        assert all(d <= distance(net, member, other) + 1e-12 for other in ch_ids)
 
 
 # --- TEEN mechanics -------------------------------------------------------
@@ -546,12 +552,11 @@ def test_teen_next_hop_matches_pairwise_search(cells):
             ch = next_hop[ch]
             on_chain[ch] = True
     assert sending.tolist() == on_chain.tolist()
-    block = net.distances(ch_ids, ch_ids)
     for ch in ch_ids.tolist():
         best, best_d = -1, float("inf")
         for other in ch_ids.tolist():
-            if net.dist_to_bs[other] < net.dist_to_bs[ch] and block[ch, other] < best_d:
-                best, best_d = other, block[ch, other]
+            if net.dist_to_bs[other] < net.dist_to_bs[ch] and distance(net, ch, other) < best_d:
+                best, best_d = other, distance(net, ch, other)
         assert next_hop[ch] == best
         assert hop_dist[ch] == (best_d if best >= 0 else net.dist_to_bs[ch])
 
@@ -564,7 +569,7 @@ SPACINGS = (0.1, 1.0, 10.0)
 def scan_nearest(net, rows, chs, closer_to_bs=False):
     """Each row's nearest CH and distance by a scan over every CH in id order.
 
-    Distances use `Network.distances`' float operations, one row at a time;
+    Distances use `network.euclidean`'s float operations, one row at a time;
     a later CH replaces the best only when strictly nearer, so ties go to the
     lowest id. With `closer_to_bs`, only CHs strictly closer to the BS count,
     and a row with none gets -1 at distance inf.
