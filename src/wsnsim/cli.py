@@ -141,8 +141,8 @@ def cmd_bound(args) -> int:
         raise ValueError("give either an instance file or --from-network")
     if args.instance:
         # the flags only --from-network reads are None (--override empty) unless given
-        for name in ("config", "override", "max_rounds", "seed", "k_max", "max_range",
-                     "check_sim", "show_config"):
+        for name in ("config", "override", "max_rounds", "seed", "k_max", "check_sim",
+                     "show_config"):
             if getattr(args, name) not in (None, []):
                 raise ValueError(f"--{name.replace('_', '-')} needs --from-network")
         instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
@@ -150,14 +150,14 @@ def cmd_bound(args) -> int:
         config = _load_effective_config(args, simulate=bool(args.check_sim))
         seed = 1 if args.seed is None else args.seed
         instance = bound_for_simulated_network(
-            deploy(config, seed), k_max=MAX_ROUNDS if args.k_max is None else args.k_max,
-            max_range=args.max_range)
+            deploy(config, seed), k_max=MAX_ROUNDS if args.k_max is None else args.k_max)
 
-    k_star, schedule = solve_exact(instance)
-    print(f"K* = {k_star}")
-
+    # every refusal, the unusable --out included, comes before the solve prints
+    instance.check_solver_guards()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    k_star, schedule = solve_exact(instance)
+    print(f"K* = {k_star}")
     with open(out_dir / "bound_schedule.txt", "w", encoding="utf-8") as fh:
         fh.write(schedule_to_text(schedule))
     with open(out_dir / "bound_instance.txt", "w", encoding="utf-8") as fh:
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="build the instance from a deployed network")
     bound_p.add_argument("--seed", type=int, help="deployment seed (default 1)")
     bound_p.add_argument("--k-max", type=int, help=f"round cap K (default {MAX_ROUNDS})")
-    bound_p.add_argument("--max-range", type=float)
     bound_p.add_argument("--check-sim", action="store_true", default=None,
                          help="also run LEACH on the network and assert "
                               "lifetime <= K*")

@@ -29,10 +29,8 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Optional
 
-import numpy as np
-
 from .energy_model import crossover_distance, tx_energy
-from .network import Network, euclidean
+from .network import Network
 
 MAX_SENSORS = 8
 MAX_CHS = 4
@@ -385,30 +383,30 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
     return best, schedule
 
 
-def bound_for_simulated_network(network: Network, k_max: int = MAX_ROUNDS,
-                                max_range: Optional[float] = None) -> BoundInstance:
+def bound_for_simulated_network(network: Network, k_max: int = MAX_ROUNDS) -> BoundInstance:
     """Map a deployed network onto a bound instance.
 
     The single coverage target is the base station. Range 0 is the
     free-space regime (radius d0) priced at the electronics-only floor of a
-    packet transmission; range 1 is the multipath regime (radius
-    `max_range`, default the field diagonal) priced at the d0 crossing
-    cost. Both prices understate what any node actually pays per round in
-    the simulator, and the budget is the richest node's initial energy, so
-    the resulting optimum never falls below an achievable simulated
-    lifetime. Any N maps; the solvers refuse an instance past their guards.
+    packet transmission; range 1 is the multipath regime priced at the d0
+    crossing cost, and it reaches the BS from every node, as the
+    simulator's radio does. Both prices understate what any node actually
+    pays per round in the simulator, and the budget is the richest node's
+    initial energy, so K* >= min(simulated lifetime, k_max) once that
+    budget pays for one packet sent at d0 (`tx_energy(bits, d0)`, 0.508 mJ
+    at the defaults). Below it K* can be 0 while a LEACH run still lives a
+    round or two: the engine lets a node's last round overdraw its battery
+    and refunds the overshoot, and this model's strict budget cannot count
+    that round. Any N maps; the solvers refuse an instance past their
+    guards.
     """
     config = network.config
     radio = config.radio
     d0 = crossover_distance(radio)
-    if max_range is None:
-        max_range = euclidean(np.array([config.field_width]), np.array([config.field_height])).item()
-    elif not (math.isfinite(max_range) and max_range > 0):
-        raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
     bits = config.packet_bits
     e_near = tx_energy(radio, bits, 0.0)
     e_far = tx_energy(radio, bits, d0)
-    coverage = tuple(((d <= d0,), (d <= max_range,)) for d in network.dist_to_bs.tolist())
+    coverage = tuple(((d <= d0,), (True,)) for d in network.dist_to_bs.tolist())
     return BoundInstance(
         n_sensors=config.node_count,
         n_chs=1,

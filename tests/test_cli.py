@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -277,6 +278,28 @@ def test_bound_readme_check_sim_example(tmp_path, capsys):
     assert "simulated lifetime = 4" in out
 
 
+def test_bound_check_sim_with_the_bs_beyond_the_field_diagonal(tmp_path, capsys):
+    # every node lies farther than the field diagonal from the BS, and still reaches it
+    code = run_cli("bound", "--from-network", "--check-sim", "--override", "bs_position=300,50",
+                   "--override", "initial_energy=0.1", "--out", str(tmp_path / "o"))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == "K* = 16\nsimulated lifetime = 10\nbound dominance holds\n"
+
+
+@pytest.mark.parametrize("from_network", [False, True])
+def test_bound_unusable_out_rejected_before_the_solve(tmp_path, capsys, from_network):
+    path = tmp_path / "inst.txt"
+    path.write_text(instance_to_text(full_coverage_instance()), encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    source = ["--from-network"] if from_network else [str(path)]
+    assert run_cli("bound", *source, "--out", str(taken)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_bound_show_config_writes_nothing(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli("bound", "--from-network", "--override", "node_count=3", "--show-config",
@@ -329,9 +352,9 @@ def test_bound_node_count_is_set_like_every_other_key(tmp_path):
     (["--seed", "9"], "--seed"),
     (["--seed", "1"], "--seed"),
     (["--k-max", "2"], "--k-max"),
-    (["--max-range", "-3"], "--max-range"),
-    (["--override", "bogus=1", "--config", "/nonexistent.cfg", "--seed", "9", "--k-max", "2",
-      "--max-range", "-3"], "--config"),
+    (["--check-sim"], "--check-sim"),
+    (["--override", "bogus=1", "--config", "/nonexistent.cfg", "--seed", "9", "--k-max", "2"],
+     "--config"),
     (["--show-config"], "--show-config"),
 ])
 def test_bound_instance_file_rejects_network_flags_before_any_file(tmp_path, capsys, flags,
@@ -368,6 +391,22 @@ def test_readme_commands_parse(capsys):
                         f"{capsys.readouterr().err}")
 
 
+# flags the README names that no subcommand takes, each with its reason
+README_ONLY_FLAGS = {"--no-build-isolation": "pip's, in the install line"}
+# options every subcommand takes that the README leaves unnamed, each with its reason
+PARSER_ONLY_FLAGS = {"--help": "argparse adds it to every parser"}
+
+
+def test_readme_names_exactly_the_parsers_flags():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme.read_text(encoding="utf-8")))
+    (subcommands,) = [action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    options = {option for sub in subcommands.choices.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named - set(README_ONLY_FLAGS) == options - set(PARSER_ONLY_FLAGS)
+
+
 def test_parse_seeds_rejects_reversed_range():
     for spec in ("5..1", "1..3,5..1"):
         with pytest.raises(ValueError, match="reversed"):
@@ -391,17 +430,6 @@ def test_bad_value_names_its_key_before_any_file(tmp_path, capsys, flags, named)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named} ")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("max_range", ["-5", "0", "nan", "inf"])
-def test_bad_max_range_rejected_before_any_file(tmp_path, capsys, max_range):
-    out = tmp_path / "out"
-    code = run_cli("bound", "--from-network", "--max-range", max_range, "--out", str(out))
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "max_range" in captured.err
-    assert "K* =" not in captured.out
     assert not out.exists()
 
 

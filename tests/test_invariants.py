@@ -7,7 +7,7 @@ metrics are checked against what the trace's rows give.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,27 +18,44 @@ from wsnsim.energy_model import RadioParams
 from wsnsim.engine import SimulationState, run_simulation, summary_dict
 from wsnsim.metrics import run_metrics
 from wsnsim.network import NetworkConfig, deploy
-from wsnsim.protocols import PROTOCOL_NAMES, Protocol, make_protocol
+from wsnsim.protocols import PROTOCOL_NAMES, Protocol
 
 MAX_ROUNDS = 150
 
-configs = st.builds(
-    NetworkConfig,
-    node_count=st.integers(min_value=1, max_value=40),
-    initial_energy=st.floats(min_value=0.002, max_value=0.05),
-    p_opt=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
-    adv_fraction=st.floats(min_value=0.0, max_value=1.0),
-    adv_energy_factor=st.floats(min_value=0.0, max_value=3.0),
-    bs_position=st.tuples(st.floats(min_value=-50.0, max_value=150.0),
-                          st.floats(min_value=-50.0, max_value=150.0)),
-)
+# each radio constant at 0.1-10x its default, so d0 = sqrt(e_fs / e_mp) moves too
+radios = st.builds(RadioParams, **{name: st.floats(min_value=0.1 * value, max_value=10.0 * value)
+                                   for name, value in asdict(RadioParams()).items()})
+
+
+@st.composite
+def configs(draw):
+    sense_min = draw(st.floats(min_value=-100.0, max_value=100.0))
+    hard = sense_min + draw(st.floats(min_value=1e-3, max_value=200.0))
+    return NetworkConfig(
+        field_width=draw(st.floats(min_value=5.0, max_value=400.0)),
+        field_height=draw(st.floats(min_value=5.0, max_value=400.0)),
+        node_count=draw(st.integers(min_value=1, max_value=40)),
+        bs_position=draw(st.tuples(st.floats(min_value=-200.0, max_value=600.0),
+                                   st.floats(min_value=-200.0, max_value=600.0))),
+        initial_energy=draw(st.floats(min_value=0.002, max_value=0.05)),
+        p_opt=draw(st.sampled_from([0.05, 0.1, 0.3, 1.0])),
+        adv_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+        adv_energy_factor=draw(st.floats(min_value=0.0, max_value=3.0)),
+        packet_bits=draw(st.integers(min_value=1, max_value=8000)),
+        radio=draw(radios),
+        teen_sense_min=sense_min,
+        teen_hard_threshold=hard,
+        teen_sense_max=hard + draw(st.floats(min_value=1e-3, max_value=200.0)),
+        teen_soft_threshold=draw(st.floats(min_value=0.0, max_value=20.0)),
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(configs, st.sampled_from(PROTOCOL_NAMES), st.integers(min_value=0, max_value=10**6))
-def test_every_round_keeps_the_invariants(cfg, name, seed):
+@given(configs(), st.sampled_from(PROTOCOL_NAMES), st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+def test_every_round_keeps_the_invariants(cfg, name, forwarding, seed):
     net = deploy(cfg, seed)
-    state = SimulationState(net, make_protocol(name, cfg), seed)
+    state = SimulationState(net, Protocol(name, forwarding), seed)
     hops = []
     next_hop = engine.teen_next_hop
 
@@ -76,7 +93,7 @@ def test_every_round_keeps_the_invariants(cfg, name, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(configs, st.integers(min_value=1, max_value=MAX_ROUNDS), st.sampled_from(PROTOCOL_NAMES),
+@given(configs(), st.integers(min_value=1, max_value=MAX_ROUNDS), st.sampled_from(PROTOCOL_NAMES),
        st.integers(min_value=0, max_value=10**6))
 def test_summary_and_metrics_agree_with_the_trace(cfg, max_rounds, name, seed):
     result = run_simulation(replace(cfg, max_rounds=max_rounds), Protocol(name), seed)

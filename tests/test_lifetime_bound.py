@@ -1,14 +1,14 @@
 import hashlib
 import itertools
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnsim.energy_model import RadioParams
+from wsnsim.energy_model import RadioParams, crossover_distance, tx_energy
 from wsnsim.lifetime_bound import (
+    MAX_ROUNDS,
     BoundInstance,
     InstanceTooLargeError,
     Schedule,
@@ -416,19 +416,35 @@ def test_colocated_node_bound_is_budget_quotient():
     assert k_star == 6  # floor(budget / cheapest range energy)
 
 
-def test_out_of_range_node_gives_zero_bound():
-    cfg = NetworkConfig(node_count=1, bs_position=(0.0, 0.0), adv_fraction=0.0)
-    net = Network(cfg, [90.0], [90.0], [False], [0.5])
-    instance = bound_for_simulated_network(net, max_range=10.0)
+def test_node_beyond_the_field_diagonal_still_reaches_the_bs():
+    # 290 m from the BS on a 100 m field: the multipath range reaches it all the same
+    cfg = NetworkConfig(node_count=1, bs_position=(300.0, 50.0), adv_fraction=0.0)
+    net = Network(cfg, [10.0], [50.0], [False], [0.5])
+    instance = bound_for_simulated_network(net)
+    assert instance.coverage == (((False,), (True,)),)
     k_star, _ = solve_exact(instance)
-    assert k_star == 0
+    assert k_star == MAX_ROUNDS
 
 
-@pytest.mark.parametrize("max_range", [-5.0, 0.0, math.nan, math.inf])
-def test_bad_max_range_is_rejected(max_range):
-    net = co_located_network(2, energy=0.5)
-    with pytest.raises(ValueError, match="max_range"):
-        bound_for_simulated_network(net, max_range=max_range)
+# the one condition the network bound needs: a battery that pays for one packet sent at d0
+D0_PACKET = tx_energy(RadioParams(), 4000, crossover_distance(RadioParams()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.tuples(st.floats(min_value=20.0, max_value=300.0),
+                 st.floats(min_value=20.0, max_value=300.0)),
+       st.tuples(st.floats(min_value=-400.0, max_value=500.0),
+                 st.floats(min_value=-400.0, max_value=500.0)),
+       st.floats(min_value=D0_PACKET, max_value=5e-3), st.integers(min_value=0, max_value=10**6))
+def test_bound_dominates_leach_wherever_the_bs_lies(n, field, bs, battery, seed):
+    cfg = NetworkConfig(node_count=n, field_width=field[0], field_height=field[1],
+                        bs_position=bs, initial_energy=battery, max_rounds=64)
+    result = run_simulation(cfg, make_protocol("leach", cfg), seed)
+    assert not result.censored
+    k_star, _ = solve_exact(bound_for_simulated_network(deploy(cfg, seed)))
+    # K* = k_max only says that the model lasts k_max rounds or more
+    assert min(result.last_death_round, MAX_ROUNDS) <= k_star
 
 
 def test_simulated_lifetime_never_exceeds_bound():
