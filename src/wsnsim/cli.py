@@ -66,16 +66,17 @@ def parse_protocols(spec: str) -> list[Protocol]:
     return protocols
 
 
-def _load_effective_config(args, simulate: bool = False) -> NetworkConfig:
-    """The default config or the config file over it, then --override and --max-rounds."""
+def _load_effective_config(args) -> NetworkConfig:
+    """The default config or the config file over it, then --override."""
     config = load_config(args.config, base=args.default_config) if args.config else args.default_config
-    config = config_from_items(dict(split_entry(entry, "--override") for entry in args.override),
-                               base=config)
-    if args.max_rounds is not None:
-        config = replace(config, max_rounds=args.max_rounds)
-    if simulate and config.max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1 to run a simulation")
-    return config
+    return config_from_items(dict(split_entry(entry, "--override") for entry in args.override),
+                             base=config)
+
+
+def _show_config(config: NetworkConfig) -> int:
+    for key, value in config_as_items(config).items():
+        print(f"{key} = {value}")
+    return 0
 
 
 def _write_run_outputs(out_dir: Path, name: str, seed: int, result,
@@ -96,7 +97,13 @@ def _sweep(args) -> int:
     Each seed is deployed once for its topology file, which every protocol
     shares; every check runs before the output directory is created.
     """
-    config = _load_effective_config(args, simulate=True)
+    config = _load_effective_config(args)
+    if args.max_rounds is not None:
+        config = replace(config, max_rounds=args.max_rounds)
+    if args.show_config:
+        return _show_config(config)
+    if config.max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1 to run a simulation")
     protocols = parse_protocols(args.protocol)
     if args.compare and len(protocols) < 2:
         raise ValueError("compare needs at least two protocols")
@@ -137,17 +144,16 @@ def _sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if bool(args.instance) == args.from_network:
-        raise ValueError("give either an instance file or --from-network")
     if args.instance:
-        # the flags only --from-network reads are None (--override empty) unless given
-        for name in ("config", "override", "max_rounds", "seed", "k_max", "check_sim",
-                     "show_config"):
+        # the flags only a deployed network reads are None (--override empty) unless given
+        for name in ("config", "override", "seed", "k_max", "check_sim", "show_config"):
             if getattr(args, name) not in (None, []):
-                raise ValueError(f"--{name.replace('_', '-')} needs --from-network")
+                raise ValueError(f"--{name.replace('_', '-')} does not apply to an instance file")
         instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
     else:
-        config = _load_effective_config(args, simulate=bool(args.check_sim))
+        config = _load_effective_config(args)
+        if args.show_config:
+            return _show_config(config)
         seed = 1 if args.seed is None else args.seed
         instance = bound_for_simulated_network(
             deploy(config, seed), k_max=MAX_ROUNDS if args.k_max is None else args.k_max)
@@ -164,13 +170,11 @@ def cmd_bound(args) -> int:
         fh.write(instance_to_text(instance))
 
     if args.check_sim:
-        result = run_simulation(config, Protocol("leach"), seed)
-        lifetime = result.last_death_round
-        if lifetime is None:
-            print("error: simulation censored at max_rounds; raise it to "
-                  "compare against the bound", file=sys.stderr)
-            return 1
-        print(f"simulated lifetime = {lifetime}")
+        # K* counts at most K rounds, so it bounds min(lifetime, K); only the
+        # round loop reads max_rounds, so these K rounds are a full run's first K
+        result = run_simulation(replace(config, max_rounds=instance.k_max), Protocol("leach"), seed)
+        lifetime = instance.k_max if result.censored else result.last_death_round
+        print(f"simulated lifetime {'>=' if result.censored else '='} {lifetime}")
         if lifetime > k_star:
             print(f"error: simulated lifetime {lifetime} exceeds bound {k_star}",
                   file=sys.stderr)
@@ -187,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--max-rounds", type=int, default=None)
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="config override (repeatable)")
     common.add_argument("--show-config", action="store_true", default=None,
@@ -201,20 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
         sweep_p.add_argument("--protocol", default=protocols,
                              help="comma-separated protocol list")
         sweep_p.add_argument("--seeds", default="1", help="e.g. 7 or 1,2,5 or 1..20")
+        sweep_p.add_argument("--max-rounds", type=int, default=None)
         sweep_p.add_argument("--require-termination", action="store_true",
                              help="fail if every run hits max_rounds with survivors")
         sweep_p.set_defaults(func=_sweep, compare=name == "compare")
 
     bound_p = sub.add_parser("bound", parents=[common],
                              help="solve the exact lifetime bound on a tiny instance")
-    bound_p.add_argument("instance", nargs="?", help="instance file (matrix format)")
-    bound_p.add_argument("--from-network", action="store_true",
-                         help="build the instance from a deployed network")
+    bound_p.add_argument("instance", nargs="?",
+                         help="instance file (matrix format); without it, deploy the network")
     bound_p.add_argument("--seed", type=int, help="deployment seed (default 1)")
     bound_p.add_argument("--k-max", type=int, help=f"round cap K (default {MAX_ROUNDS})")
     bound_p.add_argument("--check-sim", action="store_true", default=None,
-                         help="also run LEACH on the network and assert "
-                              "lifetime <= K*")
+                         help="also run LEACH on the network for K rounds and assert "
+                              "min(lifetime, K) <= K*")
     # a 4-node network by default: small enough for the exact solver
     bound_p.set_defaults(func=cmd_bound, default_config=NetworkConfig(node_count=4))
     return parser
@@ -223,11 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # an instance file has no config to show: cmd_bound refuses the flag
-        if args.show_config and not getattr(args, "instance", None):
-            for key, value in config_as_items(_load_effective_config(args)).items():
-                print(f"{key} = {value}")
-            return 0
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

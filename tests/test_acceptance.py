@@ -22,7 +22,6 @@ from wsnsim.energy_model import (
 )
 from wsnsim.engine import run_simulation, write_trace_csv
 from wsnsim.lifetime_bound import (
-    BoundInstance,
     bound_for_simulated_network,
     solve_exact,
     solve_exhaustive,
@@ -36,6 +35,8 @@ from wsnsim.protocols import (
     make_protocol,
     sep_probabilities,
 )
+
+from helpers import random_instance
 
 SEEDS = tuple(range(1, 21))
 PROTOCOLS = ("leach", "sep", "teen", "deec")
@@ -190,21 +191,6 @@ def test_criterion_6_ch_count_behavior(sweep):
         if not 0.5 <= ratio <= 1.5:
             failures.append(f"{name}: stable-period CH ratio {ratio:.2f} outside +-50%")
     report("criterion 6 (CH count variance and stable-period level)", failures)
-
-
-def random_instance(rng):
-    n = rng.randint(1, 4)
-    m = rng.randint(1, 2)
-    z = rng.randint(1, 2)
-    k = rng.randint(1, 10)
-    energies = tuple(round(rng.uniform(0.2, 1.5), 3) for _ in range(z))
-    budget = round(rng.uniform(0.5, 3.0), 3)
-    coverage = tuple(
-        tuple(tuple(rng.random() < 0.7 for _ in range(m)) for _ in range(z))
-        for _ in range(n))
-    return BoundInstance(n_sensors=n, n_chs=m, n_ranges=z, k_max=k,
-                         range_energies=energies, budget=budget,
-                         coverage=coverage)
 
 
 def test_criterion_7_bound_dominance():

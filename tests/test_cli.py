@@ -10,6 +10,8 @@ from wsnsim.cli import build_parser, main, parse_protocols, parse_seeds
 from wsnsim.protocols import Protocol
 from wsnsim.lifetime_bound import BoundInstance, instance_to_text
 
+from helpers import D0_PACKET
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -222,7 +224,7 @@ def test_bound_instance_header_errors_name_their_line(tmp_path, capsys, text, me
 
 def test_bound_from_too_large_network_refused_by_the_solver(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run_cli("bound", "--from-network", "--override", "node_count=9", "--out", str(out)) == 2
+    assert run_cli("bound", "--override", "node_count=9", "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: instance exceeds exact-solver guards (N <= 8,")
     assert captured.err.endswith("got N=9, M=1, Z=2, K=16\n")
@@ -230,18 +232,46 @@ def test_bound_from_too_large_network_refused_by_the_solver(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,error", [
-    (["--max-rounds", "5"], "error: simulation censored at max_rounds"),
-    ([], "error: simulated lifetime 1744 exceeds bound 16"),
-])
-def test_bound_check_sim_failures_exit_1(tmp_path, capsys, flags, error):
-    # at the default 0.5 J battery the LEACH run outlives K = 16 rounds
-    code = run_cli("bound", "--from-network", "--override", "node_count=4", "--seed", "3",
-                   "--check-sim", *flags, "--out", str(tmp_path / "o"))
-    assert code == 1
+def test_bound_check_sim_run_outliving_k_holds_the_bound(tmp_path, capsys):
+    # at the default 0.5 J battery the LEACH run outlives K = 16 rounds, and
+    # K* = 16 says only "16 rounds or more"
+    code = run_cli("bound", "--override", "node_count=4", "--seed", "3", "--check-sim",
+                   "--out", str(tmp_path / "o"))
     captured = capsys.readouterr()
-    assert "K* = 16" in captured.out
-    assert captured.err.startswith(error)
+    assert code == 0
+    assert captured.out == "K* = 16\nsimulated lifetime >= 16\nbound dominance holds\n"
+    assert captured.err == ""
+
+
+def test_bound_check_sim_runs_k_max_rounds(tmp_path, capsys):
+    # a 1 mJ battery lives past round 2, so K = 2 censors the run
+    code = run_cli("bound", "--k-max", "2", "--check-sim", "--override", "initial_energy=1mJ",
+                   "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert capsys.readouterr().out == "K* = 2\nsimulated lifetime >= 2\nbound dominance holds\n"
+
+
+@pytest.mark.parametrize("battery", [D0_PACKET, 1.04e-3, 0.01, 0.5])
+def test_bound_check_sim_holds_from_a_d0_packet_up(tmp_path, capsys, battery):
+    # the network bound's one condition: the richest battery pays for one
+    # packet sent at d0 (0.508 mJ at the defaults)
+    for seed in range(1, 5):
+        code = run_cli("bound", "--seed", str(seed), "--check-sim",
+                       f"--override=initial_energy={battery!r}", "--out", str(tmp_path / "o"))
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.endswith("bound dominance holds\n")
+
+
+def test_bound_check_sim_below_a_d0_packet_can_fail(tmp_path, capsys):
+    # 0.4 mJ is under one packet sent at d0: the engine's last-round overdraw
+    # gives LEACH a round the strict budget cannot count
+    code = run_cli("bound", "--seed", "6", "--check-sim", "--override", "initial_energy=0.4mJ",
+                   "--override", "bs_position=50,175", "--out", str(tmp_path / "o"))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "K* = 0\nsimulated lifetime = 1\n"
+    assert captured.err == "error: simulated lifetime 1 exceeds bound 0\n"
 
 
 def test_bound_too_large_instance_reports_limits(tmp_path, capsys):
@@ -257,10 +287,9 @@ def test_bound_too_large_instance_reports_limits(tmp_path, capsys):
 
 
 def test_bound_check_sim_dominance(tmp_path, capsys):
-    code = run_cli("bound", "--from-network", "--override", "node_count=3", "--seed", "2",
+    code = run_cli("bound", "--override", "node_count=3", "--seed", "2",
                    "--override", "initial_energy=0.00082",
                    "--override", "adv_fraction=0",
-                   "--max-rounds", "64",
                    "--out", str(tmp_path / "o"), "--check-sim")
     out = capsys.readouterr().out
     assert code == 0
@@ -269,7 +298,7 @@ def test_bound_check_sim_dominance(tmp_path, capsys):
 
 def test_bound_readme_check_sim_example(tmp_path, capsys):
     # a battery of 5.2 packets' electronics cost: the run dies well inside K*
-    code = run_cli("bound", "--from-network", "--override", "node_count=4", "--seed", "3",
+    code = run_cli("bound", "--override", "node_count=4", "--seed", "3",
                    "--check-sim", "--override", "initial_energy=1.04mJ",
                    "--out", str(tmp_path / "o"))
     out = capsys.readouterr().out
@@ -280,7 +309,7 @@ def test_bound_readme_check_sim_example(tmp_path, capsys):
 
 def test_bound_check_sim_with_the_bs_beyond_the_field_diagonal(tmp_path, capsys):
     # every node lies farther than the field diagonal from the BS, and still reaches it
-    code = run_cli("bound", "--from-network", "--check-sim", "--override", "bs_position=300,50",
+    code = run_cli("bound", "--check-sim", "--override", "bs_position=300,50",
                    "--override", "initial_energy=0.1", "--out", str(tmp_path / "o"))
     out = capsys.readouterr().out
     assert code == 0
@@ -293,7 +322,7 @@ def test_bound_unusable_out_rejected_before_the_solve(tmp_path, capsys, from_net
     path.write_text(instance_to_text(full_coverage_instance()), encoding="utf-8")
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
-    source = ["--from-network"] if from_network else [str(path)]
+    source = [] if from_network else [str(path)]
     assert run_cli("bound", *source, "--out", str(taken)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -302,7 +331,7 @@ def test_bound_unusable_out_rejected_before_the_solve(tmp_path, capsys, from_net
 
 def test_bound_show_config_writes_nothing(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run_cli("bound", "--from-network", "--override", "node_count=3", "--show-config",
+    assert run_cli("bound", "--override", "node_count=3", "--show-config",
                    "--out", str(out)) == 0
     text = capsys.readouterr().out
     assert "node_count = 3" in text
@@ -310,15 +339,14 @@ def test_bound_show_config_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("network_flag", [[], ["--from-network"]])
-def test_bound_file_with_check_sim_rejected_before_any_file(tmp_path, capsys, network_flag):
+def test_bound_file_with_check_sim_rejected_before_any_file(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text(instance_to_text(full_coverage_instance()), encoding="utf-8")
     out = tmp_path / "o"
-    code = run_cli("bound", str(path), *network_flag, "--check-sim", "--out", str(out))
+    code = run_cli("bound", str(path), "--check-sim", "--out", str(out))
     assert code == 2
     captured = capsys.readouterr()
-    assert "--from-network" in captured.err
+    assert captured.err == "error: --check-sim does not apply to an instance file\n"
     assert "K* =" not in captured.out
     assert not out.exists()
 
@@ -330,25 +358,34 @@ def bound_instance_header(out):
 def test_bound_node_count_is_set_like_every_other_key(tmp_path):
     # bound's own default network has 4 nodes; node_count from --override or
     # a config file replaces it, and there is no second spelling
-    assert run_cli("bound", "--from-network", "--out", str(tmp_path / "a")) == 0
+    assert run_cli("bound", "--out", str(tmp_path / "a")) == 0
     assert bound_instance_header(tmp_path / "a") == "4 1 2 16"
-    assert run_cli("bound", "--from-network", "--override", "node_count=6",
+    assert run_cli("bound", "--override", "node_count=6",
                    "--out", str(tmp_path / "b")) == 0
     assert bound_instance_header(tmp_path / "b") == "6 1 2 16"
     cfg = tmp_path / "five.cfg"
     cfg.write_text("node_count = 5\n", encoding="utf-8")
-    assert run_cli("bound", "--from-network", "--config", str(cfg),
+    assert run_cli("bound", "--config", str(cfg),
                    "--out", str(tmp_path / "c")) == 0
     assert bound_instance_header(tmp_path / "c") == "5 1 2 16"
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["bound", "--from-network", "--nodes", "4"])
+        build_parser().parse_args(["bound", "--nodes", "4"])
+
+
+@pytest.mark.parametrize("flag", [["--max-rounds", "5"], ["--from-network"]])
+def test_bound_refuses_the_flags_it_does_not_read(capsys, flag):
+    # --check-sim runs K rounds, and the instance file's absence means a network
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["bound", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags,named", [
     (["--config", "/nonexistent.cfg"], "--config"),
     (["--override", "bogus=1"], "--override"),
     (["--override", "node_count=3"], "--override"),
-    (["--max-rounds", "5"], "--max-rounds"),
+    (["--k-max", "16"], "--k-max"),
     (["--seed", "9"], "--seed"),
     (["--seed", "1"], "--seed"),
     (["--k-max", "2"], "--k-max"),
@@ -366,7 +403,7 @@ def test_bound_instance_file_rejects_network_flags_before_any_file(tmp_path, cap
     out = tmp_path / "o"
     assert run_cli("bound", str(path), *flags, "--out", str(out)) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {named} needs --from-network\n"
+    assert captured.err == f"error: {named} does not apply to an instance file\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -476,7 +513,7 @@ def test_overflowing_config_rejected_before_any_file(tmp_path, capsys, overrides
 def test_check_sim_with_overflowing_transmissions_rejected_before_any_file(tmp_path, capsys):
     # bound used to write both of its files before the LEACH run failed
     out = tmp_path / "out"
-    code = run_cli("bound", "--from-network", "--check-sim", "--override=field_width=1e80",
+    code = run_cli("bound", "--check-sim", "--override=field_width=1e80",
                    "--override=field_height=1e80", "--out", str(out))
     assert code == 2
     captured = capsys.readouterr()
@@ -495,20 +532,6 @@ def test_transmissions_just_inside_overflow_complete_a_round(tmp_path):
     assert run_cli("run", "--max-rounds", "1", "--override=node_count=1", *field,
                    "--out", str(out)) == 0
     assert len((out / "leach_seed1_trace.csv").read_text().splitlines()) == 2
-
-
-def test_check_sim_zero_max_rounds_rejected_before_any_file(tmp_path, capsys):
-    # the rule `run` applies: a simulation needs a round; without --check-sim
-    # bound runs none, so it takes any max_rounds
-    out = tmp_path / "out"
-    code = run_cli("bound", "--from-network", "--check-sim", "--max-rounds", "0",
-                   "--override", "initial_energy=1.04mJ", "--out", str(out))
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: max_rounds must be >= 1 to run a simulation\n"
-    assert "K* =" not in captured.out
-    assert not out.exists()
-    assert run_cli("bound", "--from-network", "--max-rounds", "0", "--out", str(out)) == 0
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -11,28 +11,10 @@ from wsnsim.engine import (
     run_simulation,
     write_trace_csv,
 )
-from wsnsim.network import Network, NetworkConfig, deploy
+from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import Protocol, make_protocol
 
-
-def make_network(positions, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
-    cfg = NetworkConfig(node_count=len(positions), bs_position=bs,
-                        initial_energy=energy, **cfg_kwargs)
-    x, y = np.array(positions, dtype=float).T
-    n = len(positions)
-    return Network(cfg, x, y, np.zeros(n, dtype=bool), np.full(n, energy))
-
-
-class ScriptedRng:
-    """Stand-in PRNG whose random() returns `draws` in order, then raises.
-
-    A round draws once per election candidate, in id order, and then, for
-    TEEN, once per alive node, in id order; a TEEN reading is
-    sense_min + (sense_max - sense_min) * draw, 200 * draw by default.
-    """
-
-    def __init__(self, *draws):
-        self.random = iter(draws).__next__
+from helpers import ScriptedRng, make_network
 
 
 def test_single_node_ch_round_debit():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnsim.energy_model import RadioParams, crossover_distance, tx_energy
+from wsnsim.energy_model import RadioParams
 from wsnsim.lifetime_bound import (
     MAX_ROUNDS,
     BoundInstance,
@@ -27,6 +27,8 @@ from wsnsim.metrics import network_lifetime
 from wsnsim.network import Network, NetworkConfig, deploy
 from wsnsim.engine import run_simulation
 from wsnsim.protocols import make_protocol
+
+from helpers import D0_PACKET, random_instance
 
 
 def full_coverage(n, z, m):
@@ -61,21 +63,6 @@ def brute_force_bitmask(instance):
         if ok:
             best = max(best, sum(r))
     return best
-
-
-def random_instance(rng, n_max=4, m_max=2, z_max=2, k_max=10, n_min=1):
-    n = rng.randint(n_min, n_max)
-    m = rng.randint(1, m_max)
-    z = rng.randint(1, z_max)
-    k = rng.randint(1, k_max)
-    energies = tuple(round(rng.uniform(0.2, 1.5), 3) for _ in range(z))
-    budget = round(rng.uniform(0.5, 3.0), 3)
-    coverage = tuple(
-        tuple(tuple(rng.random() < 0.7 for _ in range(m)) for _ in range(z))
-        for _ in range(n))
-    return BoundInstance(n_sensors=n, n_chs=m, n_ranges=z, k_max=k,
-                         range_energies=energies, budget=budget,
-                         coverage=coverage)
 
 
 # --- verify_schedule ------------------------------------------------------
@@ -424,10 +411,6 @@ def test_node_beyond_the_field_diagonal_still_reaches_the_bs():
     assert instance.coverage == (((False,), (True,)),)
     k_star, _ = solve_exact(instance)
     assert k_star == MAX_ROUNDS
-
-
-# the one condition the network bound needs: a battery that pays for one packet sent at d0
-D0_PACKET = tx_energy(RadioParams(), 4000, crossover_distance(RadioParams()))
 
 
 @settings(max_examples=100, deadline=None)

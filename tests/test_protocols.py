@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsnsim import protocols
-from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig, deploy
+from wsnsim.network import ADVANCED, NORMAL, NetworkConfig, deploy
 from wsnsim.protocols import (
     Protocol,
     elect_cluster_heads,
@@ -23,12 +23,7 @@ from wsnsim.protocols import (
     teen_should_transmit,
 )
 
-
-def make_network(positions, classes=None, energy=0.5, bs=(50.0, 50.0), **cfg_kwargs):
-    cfg = NetworkConfig(node_count=len(positions), bs_position=bs, **cfg_kwargs)
-    classes = classes or [NORMAL] * len(positions)
-    x, y = np.array(positions, dtype=float).T
-    return Network(cfg, x, y, [c == ADVANCED for c in classes], np.full(len(positions), energy))
+from helpers import ScriptedRng, make_network
 
 
 def assignment(clusters):
@@ -458,13 +453,6 @@ def test_form_clusters_total_on_alive_non_chs(n, seed):
 
 
 # --- TEEN mechanics -------------------------------------------------------
-
-class ScriptedRng:
-    """Stand-in PRNG whose random() returns `draws` in order, then raises."""
-
-    def __init__(self, *draws):
-        self.random = iter(draws).__next__
-
 
 def gate(net, sensed):
     """Node 0's TEEN gate on one sensed value, at the default hard 100 / soft 2.
