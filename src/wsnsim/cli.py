@@ -25,7 +25,7 @@ from .lifetime_bound import (
     schedule_to_text,
     solve_exact,
 )
-from .metrics import aggregate, write_summary_stats_csv
+from .metrics import aggregate, network_lifetime, write_summary_stats_csv
 from .network import NetworkConfig, config_as_items, config_from_items, deploy, load_config, split_entry
 from .protocols import Protocol, make_protocol
 
@@ -146,7 +146,7 @@ def _sweep(args) -> int:
 def cmd_bound(args) -> int:
     if args.instance:
         # the flags only a deployed network reads are None (--override empty) unless given
-        for name in ("config", "override", "seed", "k_max", "check_sim", "show_config"):
+        for name in ("config", "override", "seed", "check_sim", "show_config"):
             if getattr(args, name) not in (None, []):
                 raise ValueError(f"--{name.replace('_', '-')} does not apply to an instance file")
         instance = instance_from_text(Path(args.instance).read_text(encoding="utf-8"))
@@ -155,8 +155,7 @@ def cmd_bound(args) -> int:
         if args.show_config:
             return _show_config(config)
         seed = 1 if args.seed is None else args.seed
-        instance = bound_for_simulated_network(
-            deploy(config, seed), k_max=MAX_ROUNDS if args.k_max is None else args.k_max)
+        instance = bound_for_simulated_network(deploy(config, seed), k_max=config.max_rounds)
 
     # every refusal, the unusable --out included, comes before the solve prints
     instance.check_solver_guards()
@@ -170,10 +169,9 @@ def cmd_bound(args) -> int:
         fh.write(instance_to_text(instance))
 
     if args.check_sim:
-        # K* counts at most K rounds, so it bounds min(lifetime, K); only the
-        # round loop reads max_rounds, so these K rounds are a full run's first K
-        result = run_simulation(replace(config, max_rounds=instance.k_max), Protocol("leach"), seed)
-        lifetime = instance.k_max if result.censored else result.last_death_round
+        # K* counts at most K = max_rounds rounds, so it bounds min(lifetime, K)
+        result = run_simulation(config, Protocol("leach"), seed)
+        lifetime = network_lifetime(result.trace, result.n_nodes)
         print(f"simulated lifetime {'>=' if result.censored else '='} {lifetime}")
         if lifetime > k_star:
             print(f"error: simulated lifetime {lifetime} exceeds bound {k_star}",
@@ -214,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     bound_p.add_argument("instance", nargs="?",
                          help="instance file (matrix format); without it, deploy the network")
     bound_p.add_argument("--seed", type=int, help="deployment seed (default 1)")
-    bound_p.add_argument("--k-max", type=int, help=f"round cap K (default {MAX_ROUNDS})")
     bound_p.add_argument("--check-sim", action="store_true", default=None,
-                         help="also run LEACH on the network for K rounds and assert "
-                              "min(lifetime, K) <= K*")
-    # a 4-node network by default: small enough for the exact solver
-    bound_p.set_defaults(func=cmd_bound, default_config=NetworkConfig(node_count=4))
+                         help="also run LEACH on the network for K = max_rounds rounds and "
+                              "assert min(lifetime, K) <= K*")
+    # a 4-node network by default, and K = max_rounds: small enough for the exact solver
+    bound_p.set_defaults(func=cmd_bound,
+                         default_config=NetworkConfig(node_count=4, max_rounds=MAX_ROUNDS))
     return parser
 
 

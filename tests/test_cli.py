@@ -244,9 +244,9 @@ def test_bound_check_sim_run_outliving_k_holds_the_bound(tmp_path, capsys):
 
 
 def test_bound_check_sim_runs_k_max_rounds(tmp_path, capsys):
-    # a 1 mJ battery lives past round 2, so K = 2 censors the run
-    code = run_cli("bound", "--k-max", "2", "--check-sim", "--override", "initial_energy=1mJ",
-                   "--out", str(tmp_path / "o"))
+    # a 1 mJ battery lives past round 2, so K = max_rounds = 2 censors the run
+    code = run_cli("bound", "--override", "max_rounds=2", "--check-sim",
+                   "--override", "initial_energy=1mJ", "--out", str(tmp_path / "o"))
     assert code == 0
     assert capsys.readouterr().out == "K* = 2\nsimulated lifetime >= 2\nbound dominance holds\n"
 
@@ -372,9 +372,38 @@ def test_bound_node_count_is_set_like_every_other_key(tmp_path):
         build_parser().parse_args(["bound", "--nodes", "4"])
 
 
-@pytest.mark.parametrize("flag", [["--max-rounds", "5"], ["--from-network"]])
+def test_bound_k_is_max_rounds_set_like_every_other_key(tmp_path):
+    # K is the config's max_rounds, 16 in bound's own default network
+    assert run_cli("bound", "--override", "max_rounds=8",
+                   "--out", str(tmp_path / "a")) == 0
+    assert bound_instance_header(tmp_path / "a") == "4 1 2 8"
+    cfg = tmp_path / "eight.cfg"
+    cfg.write_text("max_rounds = 8\n", encoding="utf-8")
+    assert run_cli("bound", "--config", str(cfg), "--out", str(tmp_path / "b")) == 0
+    assert bound_instance_header(tmp_path / "b") == "4 1 2 8"
+
+
+def test_bound_show_config_prints_the_k_in_use(tmp_path, capsys):
+    assert run_cli("bound", "--show-config", "--out", str(tmp_path / "o")) == 0
+    assert "max_rounds = 16\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,err_end", [
+    (["--override", "max_rounds=0", "--check-sim"], "error: k_max must be >= 1, got 0\n"),
+    (["--override", "max_rounds=17"], "K=17\n"),  # the solver guard's K <= 16
+])
+def test_bound_k_outside_the_solver_rejected_before_any_file(tmp_path, capsys, flags, err_end):
+    out = tmp_path / "o"
+    assert run_cli("bound", *flags, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(err_end)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--max-rounds", "5"], ["--from-network"], ["--k-max", "2"]])
 def test_bound_refuses_the_flags_it_does_not_read(capsys, flag):
-    # --check-sim runs K rounds, and the instance file's absence means a network
+    # K is max_rounds, and the instance file's absence means a network
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["bound", *flag])
     assert exc.value.code == 2
@@ -385,13 +414,12 @@ def test_bound_refuses_the_flags_it_does_not_read(capsys, flag):
     (["--config", "/nonexistent.cfg"], "--config"),
     (["--override", "bogus=1"], "--override"),
     (["--override", "node_count=3"], "--override"),
-    (["--k-max", "16"], "--k-max"),
+    (["--override", "max_rounds=16"], "--override"),
     (["--seed", "9"], "--seed"),
     (["--seed", "1"], "--seed"),
-    (["--k-max", "2"], "--k-max"),
+    (["--override", "max_rounds=2"], "--override"),
     (["--check-sim"], "--check-sim"),
-    (["--override", "bogus=1", "--config", "/nonexistent.cfg", "--seed", "9", "--k-max", "2"],
-     "--config"),
+    (["--override", "bogus=1", "--config", "/nonexistent.cfg", "--seed", "9"], "--config"),
     (["--show-config"], "--show-config"),
 ])
 def test_bound_instance_file_rejects_network_flags_before_any_file(tmp_path, capsys, flags,

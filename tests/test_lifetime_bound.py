@@ -419,15 +419,16 @@ def test_node_beyond_the_field_diagonal_still_reaches_the_bs():
                  st.floats(min_value=20.0, max_value=300.0)),
        st.tuples(st.floats(min_value=-400.0, max_value=500.0),
                  st.floats(min_value=-400.0, max_value=500.0)),
-       st.floats(min_value=D0_PACKET, max_value=5e-3), st.integers(min_value=0, max_value=10**6))
-def test_bound_dominates_leach_wherever_the_bs_lies(n, field, bs, battery, seed):
+       st.floats(min_value=D0_PACKET, max_value=5e-3), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=MAX_ROUNDS))
+def test_bound_dominates_leach_wherever_the_bs_lies(n, field, bs, battery, seed, k):
+    # bound --check-sim's check: LEACH run for K = max_rounds rounds, where
+    # K* = K only says that the model lasts K rounds or more
     cfg = NetworkConfig(node_count=n, field_width=field[0], field_height=field[1],
-                        bs_position=bs, initial_energy=battery, max_rounds=64)
+                        bs_position=bs, initial_energy=battery, max_rounds=k)
     result = run_simulation(cfg, make_protocol("leach", cfg), seed)
-    assert not result.censored
-    k_star, _ = solve_exact(bound_for_simulated_network(deploy(cfg, seed)))
-    # K* = k_max only says that the model lasts k_max rounds or more
-    assert min(result.last_death_round, MAX_ROUNDS) <= k_star
+    k_star, _ = solve_exact(bound_for_simulated_network(deploy(cfg, seed), k_max=k))
+    assert network_lifetime(result.trace, n) <= k_star
 
 
 def test_simulated_lifetime_never_exceeds_bound():
