@@ -24,6 +24,10 @@ The topology digests pin `write_topology_csv`'s bytes, so they pin
 `deploy`'s positions, class split and energies: one node on a non-square
 field, no advanced nodes, only advanced nodes, and a non-square field with
 a fractional advanced share and an energy factor whose product rounds.
+
+The compare digest pins every file `wsnsim compare` writes for two seeds,
+hashed as the benchmark's sweep digest is: the sorted file names, each
+followed by a NUL byte and the file's bytes.
 """
 
 import hashlib
@@ -32,6 +36,7 @@ import json
 
 import pytest
 
+from wsnsim.cli import main
 from wsnsim.engine import run_simulation, summary_dict, write_trace_csv
 from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import Protocol, make_protocol
@@ -96,6 +101,9 @@ TOPOLOGY_GOLDEN = {
     ("non-square", 1): "96923af3c6deb0e25ae93765bfd0e39dec9cce8ca97d448af3fb2c3cd0bdc55a",
 }
 
+COMPARE_ARGV = ["compare", "--seeds", "1..2", "--max-rounds", "40"]
+COMPARE_GOLDEN = "30e60c176eb44e8b5c989f3e9c6f273254d9c6864e206009b4d22b37a78a2e71"
+
 
 def output_digest(result) -> str:
     buf = io.StringIO()
@@ -128,3 +136,14 @@ def test_small_config_reaches_the_rare_paths():
     forwarded = run_simulation(cfg, Protocol("teen"), 1)
     direct = run_simulation(cfg, Protocol("teen", forwarding=False), 1)
     assert output_digest(forwarded) != output_digest(direct)
+
+
+def test_compare_artifacts_digest_is_pinned(tmp_path):
+    out = tmp_path / "cmp"
+    assert main(COMPARE_ARGV + ["--out", str(out)]) == 0
+    paths = sorted(out.iterdir())
+    assert len(paths) == 26  # 4 protocols x 2 seeds x 3 files, the long CSV and the stats
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == COMPARE_GOLDEN
