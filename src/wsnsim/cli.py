@@ -9,10 +9,9 @@ same seed see the same field.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import sys
 from collections import Counter
-from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .lifetime_bound import (
     schedule_to_text,
     solve_exact,
 )
-from .metrics import aggregate, network_lifetime, write_summary_stats_csv
+from .metrics import aggregate, network_lifetime, run_metrics, write_summary_stats_csv
 from .network import NetworkConfig, config_as_items, config_from_items, deploy, load_config, split_entry
 from .protocols import Protocol, make_protocol
 
@@ -79,27 +78,24 @@ def _show_config(config: NetworkConfig) -> int:
     return 0
 
 
-def _write_run_outputs(out_dir: Path, name: str, seed: int, result,
-                       topology: str) -> None:
-    prefix = f"{name}_seed{seed}"
+def _write_run_outputs(out_dir: Path, config: NetworkConfig, result) -> None:
+    prefix = f"{result.protocol}_seed{result.seed}"
     with open(out_dir / f"{prefix}_trace.csv", "w", encoding="utf-8") as fh:
         write_trace_csv(result, fh)
     with open(out_dir / f"{prefix}_summary.json", "w", encoding="utf-8") as fh:
         write_summary_json(result, fh)
     with open(out_dir / f"{prefix}_topology.csv", "w", encoding="utf-8") as fh:
-        fh.write(topology)
+        deploy(config, result.seed).write_topology_csv(fh)
 
 
 def _sweep(args) -> int:
-    """Run every protocol on every seed and write the per-run and aggregate files.
+    """Run every protocol on every seed, writing each run's files as it returns.
 
     `compare` needs two or more protocols and adds `comparison_long.csv`.
-    Each seed is deployed once for its topology file, which every protocol
-    shares; every check runs before the output directory is created.
+    Only each run's `run_metrics` row outlives it, for `summary_stats.csv`;
+    every check runs before the output directory is created.
     """
     config = _load_effective_config(args)
-    if args.max_rounds is not None:
-        config = replace(config, max_rounds=args.max_rounds)
     if args.show_config:
         return _show_config(config)
     if config.max_rounds < 1:
@@ -111,33 +107,28 @@ def _sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    topologies = {}
-    for seed in seeds:
-        buf = io.StringIO()
-        deploy(config, seed).write_topology_csv(buf)
-        topologies[seed] = buf.getvalue()
-    results = []
-    for protocol in protocols:
-        for seed in seeds:
-            result = run_simulation(config, protocol, seed)
-            _write_run_outputs(out_dir, protocol.name, seed, result, topologies[seed])
-            results.append(result)
-
-    if args.compare:
-        with open(out_dir / "comparison_long.csv", "w", encoding="utf-8") as fh:
-            fh.write("round,protocol,metric,value,seed\n")
-            # one line per trace metric; attrgetter, as vars() would give every
-            # RoundMetrics a __dict__ for good (+1.5 MiB peak on a 2-seed compare)
-            metrics = TRACE_COLUMNS[1:]
-            round_and_values = attrgetter(*[f for name in metrics for f in ("round", name)])
-            for result in results:
-                rows = "".join(f"%s,{result.protocol},{name},%s,{result.seed}\n"
-                               for name in metrics)
-                fh.writelines(rows % round_and_values(m) for m in result.trace)
-    if args.compare or len(results) > 1:
+    # one long line per trace metric; attrgetter, as vars() would give every
+    # RoundMetrics a __dict__ for good
+    metrics = TRACE_COLUMNS[1:]
+    round_and_values = attrgetter(*[f for name in metrics for f in ("round", name)])
+    runs = []
+    with (open(out_dir / "comparison_long.csv", "w", encoding="utf-8") if args.compare
+          else contextlib.nullcontext()) as long_csv:
+        if long_csv:
+            long_csv.write("round,protocol,metric,value,seed\n")
+        for protocol in protocols:
+            for seed in seeds:
+                result = run_simulation(config, protocol, seed)
+                _write_run_outputs(out_dir, config, result)
+                if long_csv:
+                    rows = "".join(f"%s,{result.protocol},{name},%s,{result.seed}\n"
+                                   for name in metrics)
+                    long_csv.writelines(rows % round_and_values(m) for m in result.trace)
+                runs.append(run_metrics(result))
+    if len(runs) > 1:
         with open(out_dir / "summary_stats.csv", "w", encoding="utf-8") as fh:
-            write_summary_stats_csv(aggregate(results), fh)
-    if args.require_termination and all(r.censored for r in results):
+            write_summary_stats_csv(aggregate(runs), fh)
+    if args.require_termination and all(run["censored"] for run in runs):
         print("error: every run was censored at max_rounds", file=sys.stderr)
         return 1
     return 0
@@ -202,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         sweep_p.add_argument("--protocol", default=protocols,
                              help="comma-separated protocol list")
         sweep_p.add_argument("--seeds", default="1", help="e.g. 7 or 1,2,5 or 1..20")
-        sweep_p.add_argument("--max-rounds", type=int, default=None)
+        sweep_p.add_argument("--max-rounds", dest="override", action="append",
+                             type="max_rounds={}".format, metavar="N",
+                             help="shorthand for --override max_rounds=N")
         sweep_p.add_argument("--require-termination", action="store_true",
                              help="fail if every run hits max_rounds with survivors")
         sweep_p.set_defaults(func=_sweep, compare=name == "compare")

@@ -66,11 +66,14 @@ def _mean_std(values: list[float]) -> MeanStd:
     return MeanStd(mean=statistics.fmean(values), std=statistics.stdev(values))
 
 
-def run_metrics(result: SimulationResult) -> dict[str, float]:
-    """Scalar metrics of one run, as consumed by `aggregate`."""
+def run_metrics(result: SimulationResult) -> dict[str, str | bool | float]:
+    """One run's row for `aggregate`: its protocol, whether it was censored,
+    and its scalar metrics."""
     trace = result.trace
     ch_counts = [m.ch_count for m in trace]
     return {
+        "protocol": result.protocol,
+        "censored": result.censored,
         "stability_period": stability_period(trace),
         "instability_period": instability_period(trace, result.n_nodes),
         "network_lifetime": network_lifetime(trace, result.n_nodes),
@@ -83,22 +86,22 @@ def run_metrics(result: SimulationResult) -> dict[str, float]:
 _METRIC_FIELDS = tuple(f.name for f in fields(SummaryStats) if f.type == "MeanStd")
 
 
-def aggregate(results: Iterable[SimulationResult]) -> list[SummaryStats]:
-    """Per-protocol mean and sample stddev of each run metric across seeds."""
-    groups: dict[str, list[SimulationResult]] = {}
-    for result in results:
-        groups.setdefault(result.protocol, []).append(result)
+def aggregate(rows: Iterable[dict]) -> list[SummaryStats]:
+    """Per-protocol run count, censored count, and mean and sample stddev of
+    each metric, over `run_metrics` rows in protocol order of first appearance."""
+    groups: dict[str, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(row["protocol"], []).append(row)
     if not groups:
-        raise ValueError("no results to aggregate")
+        raise ValueError("no runs to aggregate")
     out = []
     for protocol, group in groups.items():
-        per_run = [run_metrics(r) for r in group]
-        stats = {name: _mean_std([row[name] for row in per_run])
+        stats = {name: _mean_std([row[name] for row in group])
                  for name in _METRIC_FIELDS}
         out.append(SummaryStats(
             protocol=protocol,
             n_runs=len(group),
-            n_censored=sum(1 for r in group if r.censored),
+            n_censored=sum(1 for row in group if row["censored"]),
             **stats,
         ))
     return out

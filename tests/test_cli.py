@@ -2,10 +2,12 @@ import argparse
 import json
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
 
+from wsnsim import cli
 from wsnsim.cli import build_parser, main, parse_protocols, parse_seeds
 from wsnsim.protocols import Protocol
 from wsnsim.lifetime_bound import BoundInstance, instance_to_text
@@ -102,6 +104,18 @@ def test_override_with_unit_suffix(tmp_path, capsys):
     assert "node_count = 10" in text
 
 
+@pytest.mark.parametrize("flags,shown", [
+    (["--max-rounds", "5"], 5),
+    (["--max-rounds", "5", "--override", "max_rounds=7"], 7),
+    (["--override", "max_rounds=7", "--max-rounds", "5"], 5),
+])
+def test_max_rounds_flag_is_an_override(tmp_path, capsys, flags, shown):
+    # --max-rounds N is --override max_rounds=N: the later of the two wins
+    assert run_cli("run", *flags, "--show-config", "--out", str(tmp_path / "o")) == 0
+    assert f"max_rounds = {shown}\n" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_override_key_fails(tmp_path, capsys):
     code = run_cli("run", "--override", "bogus=1", "--out", str(tmp_path))
     assert code == 2
@@ -151,6 +165,28 @@ def test_compare_outputs_and_shared_topology(tmp_path):
     topologies = [(out / f"{p}_seed3_topology.csv").read_bytes()
                   for p in ("leach", "teen", "sep", "deec")]
     assert all(t == topologies[0] for t in topologies)
+
+
+@pytest.mark.parametrize("argv,runs", [
+    (["compare", "--seeds", "1..3"], 12),
+    (["run", "--protocol", "leach,sep", "--seeds", "1..3"], 6),
+])
+def test_sweep_keeps_no_result_past_its_run(tmp_path, monkeypatch, argv, runs):
+    # each run's files are written as it returns, so no earlier result is
+    # still referenced when the next run starts, but for the loop variable
+    refs, alive_at_start = [], []
+    inner = cli.run_simulation
+
+    def tracked(config, protocol, seed):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        result = inner(config, protocol, seed)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run_simulation", tracked)
+    assert run_cli(*argv, "--max-rounds", "30", "--out", str(tmp_path / "out")) == 0
+    assert len(alive_at_start) == runs
+    assert max(alive_at_start) <= 1
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -488,6 +524,7 @@ def test_parse_seeds_rejects_reversed_range():
     (["--seeds", ","], "--seeds"),
     (["--override", "foo"], "--override:"),
     (["--protocol", ","], "no protocols"),
+    (["--max-rounds", "x"], "max_rounds"),
 ])
 def test_bad_value_names_its_key_before_any_file(tmp_path, capsys, flags, named):
     out = tmp_path / "out"

@@ -84,7 +84,7 @@ def test_instability_zero_when_all_die_together():
 
 
 def test_aggregate_single_seed_has_zero_std():
-    stats = aggregate([fake_result([0, 1, 2], 2)])
+    stats = aggregate([run_metrics(fake_result([0, 1, 2], 2))])
     (row,) = stats
     assert row.network_lifetime.mean == 2
     assert row.network_lifetime.std == 0.0
@@ -94,7 +94,7 @@ def test_aggregate_single_seed_has_zero_std():
 def test_aggregate_two_seed_stddev():
     results = [fake_result([0] * 1000 + [2], 2, seed=1),
                fake_result([0] * 1200 + [2], 2, seed=2)]
-    (row,) = aggregate(results)
+    (row,) = aggregate(run_metrics(r) for r in results)
     assert row.network_lifetime.mean == pytest.approx(1100.0)
     assert row.network_lifetime.std == pytest.approx(141.4213562373095, rel=1e-12)
 
@@ -102,7 +102,7 @@ def test_aggregate_two_seed_stddev():
 def test_aggregate_shape_four_protocols():
     results = [fake_result([0, 2], 2, protocol=p, seed=s)
                for p in ("leach", "teen", "sep", "deec") for s in (1, 2)]
-    stats = aggregate(results)
+    stats = aggregate(run_metrics(r) for r in results)
     assert sorted(s.protocol for s in stats) == ["deec", "leach", "sep", "teen"]
 
 
@@ -133,8 +133,8 @@ def test_metrics_recomputable_from_persisted_csv():
 
 
 def test_summary_stats_csv_layout():
-    stats = aggregate([fake_result([0, 1, 2], 2),
-                       fake_result([0, 2, 2], 2, seed=2)])
+    stats = aggregate([run_metrics(fake_result([0, 1, 2], 2)),
+                       run_metrics(fake_result([0, 2, 2], 2, seed=2))])
     buf = io.StringIO()
     write_summary_stats_csv(stats, buf)
     lines = buf.getvalue().strip().splitlines()
