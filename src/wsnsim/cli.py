@@ -9,13 +9,11 @@ same seed see the same field.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from collections import Counter
-from operator import attrgetter
 from pathlib import Path
 
-from .engine import TRACE_COLUMNS, run_simulation, write_summary_json, write_trace_csv
+from .engine import run_simulation, write_summary_json, write_trace_csv
 from .lifetime_bound import (
     MAX_ROUNDS,
     bound_for_simulated_network,
@@ -78,22 +76,22 @@ def _show_config(config: NetworkConfig) -> int:
     return 0
 
 
-def _write_run_outputs(out_dir: Path, config: NetworkConfig, result) -> None:
+def _write_run_outputs(out_dir: Path, result) -> None:
     prefix = f"{result.protocol}_seed{result.seed}"
     with open(out_dir / f"{prefix}_trace.csv", "w", encoding="utf-8") as fh:
         write_trace_csv(result, fh)
     with open(out_dir / f"{prefix}_summary.json", "w", encoding="utf-8") as fh:
         write_summary_json(result, fh)
-    with open(out_dir / f"{prefix}_topology.csv", "w", encoding="utf-8") as fh:
-        deploy(config, result.seed).write_topology_csv(fh)
 
 
 def _sweep(args) -> int:
     """Run every protocol on every seed, writing each run's files as it returns.
 
-    `compare` needs two or more protocols and adds `comparison_long.csv`.
-    Only each run's `run_metrics` row outlives it, for `summary_stats.csv`;
-    every check runs before the output directory is created.
+    `run` and `compare` write the same files: each seed's topology once,
+    each run's trace and summary, and `summary_stats.csv`; `compare` only
+    defaults to all four protocols and needs two or more. Only each run's
+    `run_metrics` row outlives it; every check runs before the output
+    directory is created.
     """
     config = _load_effective_config(args)
     if args.show_config:
@@ -107,27 +105,17 @@ def _sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # one long line per trace metric; attrgetter, as vars() would give every
-    # RoundMetrics a __dict__ for good
-    metrics = TRACE_COLUMNS[1:]
-    round_and_values = attrgetter(*[f for name in metrics for f in ("round", name)])
+    for seed in seeds:
+        with open(out_dir / f"seed{seed}_topology.csv", "w", encoding="utf-8") as fh:
+            deploy(config, seed).write_topology_csv(fh)
     runs = []
-    with (open(out_dir / "comparison_long.csv", "w", encoding="utf-8") if args.compare
-          else contextlib.nullcontext()) as long_csv:
-        if long_csv:
-            long_csv.write("round,protocol,metric,value,seed\n")
-        for protocol in protocols:
-            for seed in seeds:
-                result = run_simulation(config, protocol, seed)
-                _write_run_outputs(out_dir, config, result)
-                if long_csv:
-                    rows = "".join(f"%s,{result.protocol},{name},%s,{result.seed}\n"
-                                   for name in metrics)
-                    long_csv.writelines(rows % round_and_values(m) for m in result.trace)
-                runs.append(run_metrics(result))
-    if len(runs) > 1:
-        with open(out_dir / "summary_stats.csv", "w", encoding="utf-8") as fh:
-            write_summary_stats_csv(aggregate(runs), fh)
+    for protocol in protocols:
+        for seed in seeds:
+            result = run_simulation(config, protocol, seed)
+            _write_run_outputs(out_dir, result)
+            runs.append(run_metrics(result))
+    with open(out_dir / "summary_stats.csv", "w", encoding="utf-8") as fh:
+        write_summary_stats_csv(aggregate(runs), fh)
     if args.require_termination and all(run["censored"] for run in runs):
         print("error: every run was censored at max_rounds", file=sys.stderr)
         return 1

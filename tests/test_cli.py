@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import re
 import shlex
@@ -41,11 +42,16 @@ def test_run_naming_contract(tmp_path):
     assert code == 0
     assert (out / "leach_seed1_trace.csv").exists()
     assert (out / "leach_seed1_summary.json").exists()
-    assert (out / "leach_seed1_topology.csv").exists()
+    assert (out / "seed1_topology.csv").exists()
     summary = json.loads((out / "leach_seed1_summary.json").read_text())
     assert summary["protocol"] == "leach"
     assert summary["seed"] == 1
     assert summary["rounds"] == 5
+    # one run still writes the stats: its mean is the value, its std 0.0
+    (row,) = csv.DictReader((out / "summary_stats.csv").open(encoding="utf-8"))
+    assert row["n_runs"] == "1"
+    stds = [value for name, value in row.items() if name.endswith("_std")]
+    assert stds and all(float(value) == 0.0 for value in stds)
 
 
 def test_run_missing_config_fails(tmp_path, capsys):
@@ -156,15 +162,22 @@ def test_compare_outputs_and_shared_topology(tmp_path):
     code = run_cli("compare", "--protocol", "leach,teen,sep,deec",
                    "--seeds", "3", "--max-rounds", "6", "--out", str(out))
     assert code == 0
-    long_csv = (out / "comparison_long.csv").read_text().splitlines()
-    assert long_csv[0] == "round,protocol,metric,value,seed"
-    protocols_seen = {line.split(",")[1] for line in long_csv[1:]}
-    assert protocols_seen == {"leach", "teen", "sep", "deec"}
-    assert (out / "summary_stats.csv").exists()
-    # fairness: identical seed -> byte-identical topology across protocols
-    topologies = [(out / f"{p}_seed3_topology.csv").read_bytes()
-                  for p in ("leach", "teen", "sep", "deec")]
-    assert all(t == topologies[0] for t in topologies)
+    # fairness: every protocol runs on the seed's one topology file
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{p}_seed3_{kind}" for p in ("leach", "teen", "sep", "deec")
+         for kind in ("trace.csv", "summary.json")]
+        + ["seed3_topology.csv", "summary_stats.csv"])
+
+
+@pytest.mark.parametrize("seeds", ["1", "1..2"])
+def test_run_and_compare_write_the_same_files(tmp_path, seeds):
+    written = []
+    for command in ("run", "compare"):
+        out = tmp_path / command
+        assert run_cli(command, "--protocol", "leach,sep", "--seeds", seeds,
+                       "--max-rounds", "30", "--out", str(out)) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("argv,runs", [
@@ -196,7 +209,7 @@ def test_rerun_is_byte_identical(tmp_path):
         assert run_cli("run", "--protocol", "deec", "--seeds", "2",
                        "--max-rounds", "8", "--out", str(out)) == 0
     for name in ("deec_seed2_trace.csv", "deec_seed2_summary.json",
-                 "deec_seed2_topology.csv"):
+                 "seed2_topology.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 

@@ -94,3 +94,27 @@ def test_every_method_and_property_has_a_library_user():
                     unused.append(qualified)
     # an allowance for a member that is gone, or now used, fails too
     assert sorted(unused) == sorted(UNUSED_MEMBERS)
+
+
+def _module_imports(tree):
+    """The names a module's top-level `import` and `from ... import` bind,
+    `from __future__` aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            # `import a.b` binds `a`
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_no_unused_module_imports():
+    # an import is used when it is read as a bare name, which also covers the
+    # base of an attribute (`np.where`)
+    unused = []
+    for module, tree in _library_modules().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{module}.{name}" for name in _module_imports(tree) if name not in read]
+    assert unused == []

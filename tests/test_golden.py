@@ -25,7 +25,8 @@ The topology digests pin `write_topology_csv`'s bytes, so they pin
 field, no advanced nodes, only advanced nodes, and a non-square field with
 a fractional advanced share and an energy factor whose product rounds.
 
-The compare digest pins every file `wsnsim compare` writes for two seeds,
+The compare digest pins every file `wsnsim compare` writes for two seeds
+(each run's trace and summary, each seed's one topology and the stats),
 hashed as the benchmark's sweep digest is: the sorted file names, each
 followed by a NUL byte and the file's bytes.
 """
@@ -102,7 +103,7 @@ TOPOLOGY_GOLDEN = {
 }
 
 COMPARE_ARGV = ["compare", "--seeds", "1..2", "--max-rounds", "40"]
-COMPARE_GOLDEN = "30e60c176eb44e8b5c989f3e9c6f273254d9c6864e206009b4d22b37a78a2e71"
+COMPARE_GOLDEN = "b33e4e7e9a24b7b7fb4b37e4477e5644e05c0da64165469bd01ce9cf6ff15beb"
 
 
 def output_digest(result) -> str:
@@ -142,7 +143,7 @@ def test_compare_artifacts_digest_is_pinned(tmp_path):
     out = tmp_path / "cmp"
     assert main(COMPARE_ARGV + ["--out", str(out)]) == 0
     paths = sorted(out.iterdir())
-    assert len(paths) == 26  # 4 protocols x 2 seeds x 3 files, the long CSV and the stats
+    assert len(paths) == 19  # 4 protocols x 2 seeds x 2 files, 2 topologies and the stats
     digest = hashlib.sha256()
     for path in paths:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
