@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import Network, euclidean
+from .network import Network, euclidean, uniform_draws
 
 
 PROTOCOL_NAMES = ("leach", "teen", "sep", "deec")
@@ -177,7 +177,7 @@ def elect_cluster_heads(network: Network, protocol: Protocol,
         eligible[ids] = True
         candidates, is_candidate = ids, slice(None)
     thresholds = threshold[is_candidate]
-    draws = np.array([rng.random() for _ in range(len(candidates))])
+    draws = uniform_draws(rng, len(candidates))
     ch_ids = candidates[draws < thresholds]
     eligible[ch_ids] = False
     return ElectionOutcome(ch_ids=ch_ids, candidates=candidates,
@@ -340,7 +340,7 @@ def teen_should_transmit(network: Network, ids: np.ndarray, rng: random.Random) 
     always go out).
     """
     cfg = network.config
-    draws = np.array([rng.random() for _ in range(len(ids))])
+    draws = uniform_draws(rng, len(ids))
     sensed = cfg.teen_sense_min + (cfg.teen_sense_max - cfg.teen_sense_min) * draws
     last = network.teen_last_sent[ids]
     send = (sensed >= cfg.teen_hard_threshold) & ~(np.abs(sensed - last) < cfg.teen_soft_threshold)

@@ -4,7 +4,7 @@ import numpy as np
 
 from wsnsim.energy_model import RadioParams, crossover_distance, tx_energy
 from wsnsim.lifetime_bound import BoundInstance
-from wsnsim.network import ADVANCED, NORMAL, Network, NetworkConfig
+from wsnsim.network import _BULK_DRAWS, ADVANCED, NORMAL, Network, NetworkConfig
 
 # one default packet sent at d0: the least battery for which the network
 # bound's K* >= min(LEACH lifetime, K) holds
@@ -27,9 +27,17 @@ class ScriptedRng:
     A round draws once per election candidate, in id order, and then, for
     TEEN, once per alive node, in id order; a TEEN reading is
     sense_min + (sense_max - sense_min) * draw, 200 * draw by default.
+
+    It has no getrandbits, so it stands in only where `uniform_draws` takes
+    its values from random(), below `_BULK_DRAWS` draws a call: a script of
+    that many values is refused. A draw past the script's end ends in
+    np.fromiter's ValueError ("iterator too short"), not StopIteration.
     """
 
     def __init__(self, *draws):
+        if len(draws) >= _BULK_DRAWS:
+            raise ValueError(f"ScriptedRng has no getrandbits, so it scripts fewer than "
+                             f"{_BULK_DRAWS} draws; got {len(draws)}")
         self.random = iter(draws).__next__
 
 

@@ -118,3 +118,15 @@ def test_no_unused_module_imports():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{module}.{name}" for name in _module_imports(tree) if name not in read]
     assert unused == []
+
+
+def test_one_draw_path():
+    # every PRNG value wsnsim uses comes from `network.uniform_draws`, so a
+    # per-value `rng.random()` loop cannot come back beside it
+    readers = set()
+    for module, tree in _library_modules().items():
+        for node in tree.body:
+            scope = getattr(node, "name", None)
+            readers |= {f"{module}.{scope}" for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute) and sub.attr == "random"}
+    assert readers == {"network.uniform_draws"}

@@ -25,6 +25,12 @@ The topology digests pin `write_topology_csv`'s bytes, so they pin
 field, no advanced nodes, only advanced nodes, and a non-square field with
 a fractional advanced share and an energy factor whose product rounds.
 
+Below `network._BULK_DRAWS` draws a call `uniform_draws` makes random()
+calls, and from it one getrandbits call; the default config and the
+compare digest stay on the first route, while the N = 400 and N = 1600
+cases draw their elections, TEEN's gate and `deploy` on the second, so
+both are pinned (`test_goldens_reach_both_draw_routes`).
+
 The compare digest pins every file `wsnsim compare` writes for two seeds
 (each run's trace and summary, each seed's one topology and the stats),
 hashed as the benchmark's sweep digest is: the sorted file names, each
@@ -34,11 +40,14 @@ followed by a NUL byte and the file's bytes.
 import hashlib
 import io
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
+from wsnsim import network
 from wsnsim.cli import main
-from wsnsim.engine import run_simulation, summary_dict, write_trace_csv
+from wsnsim.engine import SimulationState, run_simulation, summary_dict, write_trace_csv
 from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import Protocol, make_protocol
 
@@ -148,3 +157,61 @@ def test_compare_artifacts_digest_is_pinned(tmp_path):
     for path in paths:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == COMPARE_GOLDEN
+
+
+class RecordingRandom(random.Random):
+    """A `random.Random` that records the width of every getrandbits call."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+def _first_round(config, name, seed, rng=None):
+    state = SimulationState(deploy(config, seed), Protocol(name), seed)
+    if rng is not None:
+        state.rng = rng
+    return state.run_round(), state.network.residual.tolist()
+
+
+def _recorded_deploy(monkeypatch, config, seed):
+    """`deploy(config, seed)`, and the getrandbits widths of its PRNG."""
+    made = []
+
+    def recording(key):
+        made.append(RecordingRandom(key))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "random", SimpleNamespace(Random=recording))
+        net = deploy(config, seed)
+    return net, made[0].widths
+
+
+def _deployment(net):
+    return [getattr(net, name).tolist() for name in ("x", "y", "advanced")]
+
+
+def test_goldens_reach_both_draw_routes(monkeypatch):
+    # an N = 1600 TEEN round draws its election and its gate in one call each
+    cfg = CONFIGS["grid"]
+    rng = RecordingRandom("protocol:1")
+    assert _first_round(cfg, "teen", 1, rng) == _first_round(cfg, "teen", 1)
+    assert rng.widths == [64 * 1600, 64 * 1600]
+    # N = 400's 2N = 800 deploy draws come in one call, then the shuffle's small ones
+    net, widths = _recorded_deploy(monkeypatch, CONFIGS["large"], 1)
+    assert _deployment(net) == _deployment(deploy(CONFIGS["large"], 1))
+    assert widths[0] == 64 * 800 and max(widths[1:]) < 64
+    # at the default N = 100 a round, and deploy's 200 draws, make random() calls alone
+    cfg = NetworkConfig()
+    for name in ("leach", "teen", "sep", "deec"):
+        rng = RecordingRandom("protocol:1")
+        assert _first_round(cfg, name, 1, rng) == _first_round(cfg, name, 1)
+        assert rng.widths == []
+    net, widths = _recorded_deploy(monkeypatch, cfg, 1)
+    assert _deployment(net) == _deployment(deploy(cfg, 1))
+    assert max(widths) < 64

@@ -1,10 +1,11 @@
 import io
 import math
+import random
 from dataclasses import replace
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 import wsnsim
 from wsnsim.energy_model import RadioParams
 from wsnsim.network import (
+    _BULK_DRAWS,
     Network,
     NetworkConfig,
     config_as_items,
@@ -19,7 +21,10 @@ from wsnsim.network import (
     deploy,
     euclidean,
     load_config,
+    uniform_draws,
 )
+
+from helpers import ScriptedRng
 
 
 def test_deploy_population_split():
@@ -103,6 +108,47 @@ def test_advanced_count_is_floor(n, m, seed):
     cfg = NetworkConfig(node_count=n, adv_fraction=m)
     net = deploy(cfg, seed=seed)
     assert net.advanced.sum() == math.floor(m * n)
+
+
+_KEYS = st.integers(min_value=-2**70, max_value=2**70)
+
+
+# the getrandbits route rebuilds random()'s values from CPython's internals
+# (word order and res53); this is the guard on them
+@given(n=st.one_of(st.sampled_from([0, _BULK_DRAWS - 1, _BULK_DRAWS, _BULK_DRAWS + 1]),
+                   st.integers(min_value=0, max_value=3 * _BULK_DRAWS)),
+       seed=st.one_of(_KEYS, _KEYS.map("protocol:{}".format), _KEYS.map("deploy:{}".format)),
+       skip=st.integers(min_value=0, max_value=700))
+@example(n=0, seed=1, skip=0)
+@example(n=_BULK_DRAWS - 1, seed="protocol:1", skip=0)
+@example(n=_BULK_DRAWS, seed="deploy:1", skip=0)
+@example(n=_BULK_DRAWS + 1, seed=7, skip=623)
+def test_uniform_draws_are_random_calls_bit_for_bit(n, seed, skip):
+    rng, twin = random.Random(seed), random.Random(seed)
+    for generator in (rng, twin):
+        for _ in range(skip):
+            generator.getrandbits(32)
+    drawn = uniform_draws(rng, n)
+    expected = np.array([twin.random() for _ in range(n)], dtype=np.float64)
+    assert drawn.dtype == np.float64 and drawn.shape == (n,)
+    assert drawn.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert rng.getstate() == twin.getstate()
+    assert rng.random() == twin.random()
+    assert rng.uniform(-3.0, 5.0) == twin.uniform(-3.0, 5.0)
+    order, twin_order = list(range(20)), list(range(20))
+    rng.shuffle(order)
+    twin.shuffle(twin_order)
+    assert order == twin_order
+    assert rng.getrandbits(37) == twin.getrandbits(37)
+
+
+def test_scripted_rng_stands_in_below_the_bulk_route_only():
+    with pytest.raises(ValueError, match="fewer than"):
+        ScriptedRng(*[0.5] * _BULK_DRAWS)
+    rng = ScriptedRng(*[0.5] * (_BULK_DRAWS - 1))
+    assert uniform_draws(rng, _BULK_DRAWS - 1).tolist() == [0.5] * (_BULK_DRAWS - 1)
+    with pytest.raises(ValueError, match="iterator too short"):
+        uniform_draws(ScriptedRng(0.25), 2)
 
 
 def test_total_initial_energy_heterogeneous():
