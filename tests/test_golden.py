@@ -18,7 +18,9 @@ search buckets them too; with the base station off the field, many CHs
 find no closer-to-BS CH in their 3x3 cells and search every CH. The
 frac-share case deploys floor(0.1 * 25) = 2 advanced nodes, a share of
 0.08 rather than the configured 0.1, so SEP and DEEC weight their classes
-by a split that differs from the config's.
+by a split that differs from the config's. The teen-sparse case raises
+TEEN's hard threshold to 196 of a [0, 200) reading, so a round elects about
+40 CHs while only a few of its members, often none, report.
 
 The topology digests pin `write_topology_csv`'s bytes, so they pin
 `deploy`'s positions, class split and energies: one node on a non-square
@@ -63,6 +65,7 @@ CONFIGS = {
     "grid-bs-off-field": NetworkConfig(node_count=1600, max_rounds=10, p_opt=0.2,
                                        bs_position=(50.0, 175.0)),
     "frac-share": NetworkConfig(node_count=25, adv_fraction=0.1, initial_energy=0.02),
+    "teen-sparse": NetworkConfig(node_count=400, max_rounds=30, teen_hard_threshold=196.0),
 }
 
 GOLDEN = {
@@ -89,6 +92,7 @@ GOLDEN = {
     ("frac-share", "deec", 1): "b28b449dd7c7b2fe913a728b4ca3f405f1232a5690fc8f7bd6758b7ac6bf75d2",
     ("frac-share", "deec", 2): "7187afe7c95c1603d7829b7f698956a6d5e0679ca2c46e9ff5d1d759fb6e0109",
     ("grid-bs-off-field", "teen", 1): "17e4bc5647a60f9edd5752cd3d4dd9cda60e421065e84446e71199094c4f5023",
+    ("teen-sparse", "teen", 1): "905b18612019b0922a089886600f8840269d5604b1cef11778c068393c5089e1",
 }
 
 TOPOLOGY_CONFIGS = {
