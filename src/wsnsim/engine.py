@@ -121,11 +121,9 @@ class SimulationState:
             # their own report) and send one compressed packet up: straight
             # to the BS, or for TEEN to the next CH in the hierarchy, which
             # folds it into its own packet
-            clusters = form_clusters(net, ch_ids)
-            # outside TEEN every member reports and every CH sends
-            reports = reporting[clusters.members] if is_teen else slice(None)
-            heads = clusters.heads[reports]
-            fused = np.bincount(heads, minlength=len(residual))[ch_ids] + reporting[ch_ids]
+            clusters = form_clusters(net, ch_ids, reporting)
+            fused = np.bincount(clusters.heads, minlength=len(residual))[ch_ids] + reporting[ch_ids]
+            # outside TEEN every CH has its own report, so every CH sends
             sending = fused > 0 if is_teen else slice(None)
             if is_teen and self.protocol.forwarding:
                 next_hop, hop_dist, sending = teen_next_hop(net, ch_ids, sending)
@@ -136,14 +134,14 @@ class SimulationState:
 
             # a CH hears its members' reports, pays for aggregation, hears
             # the packets it relays, then sends
-            np.subtract.at(residual, heads, elec)
+            np.subtract.at(residual, clusters.heads, elec)
             aggregation = aggregation_energy(radio, bits, fused)
             residual[ch_ids] -= aggregation
             if len(relayed):
                 np.subtract.at(residual, relayed, elec)
-            senders = np.concatenate((clusters.members[reports], ch_ids[sending]))
-            distances = np.concatenate((clusters.distances[reports], hop_dist[sending]))
-            packets_to_ch = len(heads)
+            senders = np.concatenate((clusters.members, ch_ids[sending]))
+            distances = np.concatenate((clusters.distances, hop_dist[sending]))
+            packets_to_ch = len(clusters.members)
             packets_to_bs = len(senders) - packets_to_ch - len(relayed)
             debits = [elec * (packets_to_ch + len(relayed)), math.fsum(aggregation.tolist())]
         else:

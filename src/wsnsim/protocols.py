@@ -186,22 +186,22 @@ def elect_cluster_heads(network: Network, protocol: Protocol,
 
 @dataclass
 class Clusters:
-    """Alive non-CH nodes in id order, each with its nearest CH and distance to it."""
+    """The round's non-CH nodes with data, in id order, each with its nearest CH and distance to it."""
 
     members: np.ndarray
     heads: np.ndarray
     distances: np.ndarray
 
 
-def form_clusters(network: Network, ch_ids) -> Clusters:
-    """Assign every alive non-CH node to its nearest CH (ties: lowest CH id).
-
-    The distances are computed for this round only.
+def form_clusters(network: Network, ch_ids, reporting: np.ndarray) -> Clusters:
+    """Assign every non-CH node in `reporting`, the mask over all nodes of those
+    with data this round, to its nearest CH (ties: lowest CH id); a row's answer
+    does not depend on the other rows. The distances are computed for this round only.
     """
     if len(ch_ids) == 0:
         raise ValueError("no cluster heads to form clusters around")
     chs = np.sort(np.asarray(ch_ids))
-    is_member = network.alive.copy()
+    is_member = reporting.copy()
     is_member[chs] = False
     members = is_member.nonzero()[0]
     nearest, distances = _nearest_ch(network, members, chs)
@@ -210,8 +210,8 @@ def form_clusters(network: Network, ch_ids) -> Clusters:
 
 # Searches over fewer rows x CHs than this take one dense block: below it,
 # bucketing the CHs costs more than the block saves. Measured inside whole
-# runs on a 2-vCPU host, the two break even at about 100 CHs for cluster
-# formation (about 9 members per CH) and 250 CHs for TEEN's next hops.
+# runs on a 2-vCPU host, they break even at about 100 CHs for cluster formation (about
+# 9 members per CH in LEACH, SEP and DEEC, 4 to 5 in TEEN) and 250 CHs for TEEN's next hops.
 _GRID_MIN_BLOCK = 1 << 16
 _GRID_BLOCK_ENTRIES = 8192
 

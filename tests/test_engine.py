@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wsnsim import engine
 from wsnsim.energy_model import aggregation_energy, rx_energy, tx_energy
 from wsnsim.engine import (
     AllNodesDeadError,
@@ -12,7 +13,7 @@ from wsnsim.engine import (
     write_trace_csv,
 )
 from wsnsim.network import NetworkConfig, deploy
-from wsnsim.protocols import Protocol, make_protocol
+from wsnsim.protocols import Protocol, form_clusters, make_protocol
 
 from helpers import ScriptedRng, make_network
 
@@ -105,6 +106,33 @@ def test_teen_relays_send_without_data_of_their_own():
     assert state.round_debits[-1] == pytest.approx(expected, rel=1e-12)
     assert net.teen_last_sent[0] == 150.0
     assert np.isnan(net.teen_last_sent[1:]).all()
+
+
+def test_teen_round_with_no_reporting_member(monkeypatch):
+    # CHs 0 and 1, members 2 and 3; only CH 0 reads above the hard threshold,
+    # so no member is clustered and CH 0's own report goes straight up
+    net = make_network([(45.0, 50.0), (10.0, 50.0), (20.0, 50.0), (80.0, 50.0)])
+    radio = net.config.radio
+    state = SimulationState(net, Protocol("teen"), seed=1)
+    state.rng = ScriptedRng(0.0, 0.0, 0.99, 0.99, 0.75, 0.25, 0.25, 0.25)
+    formed = []
+
+    def recording_form_clusters(*args):
+        formed.append(form_clusters(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(engine, "form_clusters", recording_form_clusters)
+    before = net.total_residual_energy()
+    metrics = state.run_round()
+    assert [len(c.members) for c in formed] == [0]
+    assert len(formed[0].heads) == len(formed[0].distances) == 0
+    assert metrics.ch_count == 2
+    assert metrics.packets_to_ch == 0
+    assert metrics.packets_to_bs == 1
+    expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 5.0)
+    assert state.round_debits[-1] == pytest.approx(expected, rel=1e-12)
+    assert abs(state.round_debits[-1] - (before - net.total_residual_energy())) <= 1e-9
+    assert net.residual[1:].tolist() == [0.5, 0.5, 0.5]
 
 
 def test_member_and_ch_debits_add_up():

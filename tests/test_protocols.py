@@ -1,7 +1,7 @@
 import math
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -415,7 +415,7 @@ def test_class_election_matches_a_per_node_reference(name, p_opt, m, alpha, n, s
 
 def test_form_clusters_single_ch():
     net = make_network([(0, 0), (10, 10), (20, 20)])
-    assert assignment(form_clusters(net, [1])) == {0: 1, 2: 1}
+    assert assignment(form_clusters(net, [1], net.alive)) == {0: 1, 2: 1}
 
 
 def test_form_clusters_tie_breaks_to_lowest_id():
@@ -423,18 +423,18 @@ def test_form_clusters_tie_breaks_to_lowest_id():
     positions = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (10.0, 0.0),
                  (3.0, 3.0), (4.0, 4.0), (5.0, 5.0), (-10.0, 0.0)]
     net = make_network(positions)
-    assert assignment(form_clusters(net, [7, 3]))[0] == 3
+    assert assignment(form_clusters(net, [7, 3], net.alive))[0] == 3
 
 
 def test_form_clusters_nearest_wins():
     net = make_network([(0.0, 0.0), (10.0, 0.0), (0.0, 5.0)])
-    assert assignment(form_clusters(net, [1, 2]))[0] == 2
+    assert assignment(form_clusters(net, [1, 2], net.alive))[0] == 2
 
 
 def test_form_clusters_requires_chs():
     net = make_network([(0, 0), (1, 1)])
     with pytest.raises(ValueError):
-        form_clusters(net, [])
+        form_clusters(net, [], net.alive)
 
 
 @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
@@ -445,7 +445,7 @@ def test_form_clusters_total_on_alive_non_chs(n, seed):
     net.alive[dead[: n - 1]] = False
     alive_ids = np.flatnonzero(net.alive).tolist()
     ch_ids = alive_ids[: max(1, len(alive_ids) // 3)]
-    clusters = form_clusters(net, ch_ids)
+    clusters = form_clusters(net, ch_ids, net.alive)
     assert set(clusters.members.tolist()) == set(alive_ids) - set(ch_ids)
     for member, ch, d in zip(clusters.members, clusters.heads, clusters.distances):
         assert d == distance(net, member, ch)
@@ -578,7 +578,7 @@ def scan_nearest(net, rows, chs, closer_to_bs=False):
 
 def assert_same_search(net, chs):
     """form_clusters and teen_next_hop agree with `scan_nearest`, to the bit."""
-    clusters = form_clusters(net, chs)
+    clusters = form_clusters(net, chs, net.alive)
     alive_non_chs = np.setdiff1d(np.flatnonzero(net.alive), chs)
     assert clusters.members.tolist() == alive_non_chs.tolist()
     heads, dists = scan_nearest(net, clusters.members, chs)
@@ -643,6 +643,26 @@ def test_grid_search_matches_a_pairwise_scan(layout):
     net, chs = layout
     with grid_from_any_size():
         assert_same_search(net, chs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_layouts(), st.data())
+def test_form_clusters_gives_the_rows_of_its_mask(layout, data):
+    # a row's nearest CH does not depend on the other rows, so clustering
+    # only the nodes with data gives exactly their rows of the full search
+    net, chs = layout
+    picked = data.draw(st.lists(st.booleans(), min_size=len(net.alive), max_size=len(net.alive)))
+    masks = [np.zeros_like(net.alive), net.alive.copy(), net.alive & np.array(picked)]
+    for search in (nullcontext, grid_from_any_size):
+        with search():
+            full = form_clusters(net, chs, net.alive)
+            for mask in masks:
+                part = form_clusters(net, chs, mask)
+                rows = mask[full.members]
+                assert part.members.tolist() == full.members[rows].tolist()
+                assert part.heads.tolist() == full.heads[rows].tolist()
+                assert (part.distances.view(np.int64).tolist()
+                        == full.distances[rows].view(np.int64).tolist())
 
 
 @pytest.mark.parametrize("spacing", (None,) + SPACINGS)
