@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -239,6 +240,37 @@ def test_bound_infeasible_coverage(tmp_path, capsys):
     code = run_cli("bound", str(path), "--out", str(tmp_path / "o"))
     assert code == 0
     assert "K* = 0" in capsys.readouterr().out
+
+
+# 3 sensors, 2 CHs, 2 ranges, K = 8; its K* is 4, so the schedule file holds
+# four idle rounds, and its witness uses both ranges
+IDLE_ROUNDS_INSTANCE = ("3 2 2 8\n0.4 0.9\n1.3\n"
+                        "1 0\n1 1\n0 1\n1 1\n1 0\n0 1\n")
+
+# SHA-256 of bound_schedule.txt and bound_instance.txt for each bound input
+BOUND_GOLDEN = [
+    (None, ["--seed", "3"], "K* = 16\n",
+     "1904dc2c6a0dd85cc57f7058a0d6581ca5acfb975ad85d5cbb3be3b734dce631",
+     "83e477839993f808397868c07e4cfa6f67b2845805cdb89d7edbacbda9630037"),
+    (IDLE_ROUNDS_INSTANCE, [], "K* = 4\n",
+     "d045812799e021dad6bcc95c6c12d942bcea20bca9e6a6b4b064b41f099007be",
+     "de5758fa4897ab14ce076c866c1b9925b5b00e67683d2f3f3e51f5bbf6cb4dfa"),
+]
+
+
+@pytest.mark.parametrize("instance_text,args,printed,schedule_sha,instance_sha", BOUND_GOLDEN,
+                         ids=["network-seed-3", "idle-rounds-file"])
+def test_bound_artifacts_are_pinned(tmp_path, capsys, instance_text, args, printed,
+                                    schedule_sha, instance_sha):
+    if instance_text is not None:
+        path = tmp_path / "inst.txt"
+        path.write_text(instance_text, encoding="utf-8")
+        args = [str(path)]
+    out = tmp_path / "o"
+    assert run_cli("bound", *args, "--out", str(out)) == 0
+    assert capsys.readouterr().out == printed
+    assert hashlib.sha256((out / "bound_schedule.txt").read_bytes()).hexdigest() == schedule_sha
+    assert hashlib.sha256((out / "bound_instance.txt").read_bytes()).hexdigest() == instance_sha
 
 
 @pytest.mark.parametrize("text", ["1 1 1 4\n0.5\n2.0\n2\n", "1 1 1 4\n0.5\nnan\n1\n",
