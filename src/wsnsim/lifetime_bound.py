@@ -91,23 +91,25 @@ class BoundInstance:
                 f"Z={self.n_ranges}, K={self.k_max}")
 
 
-@dataclass
+# an assignment maps each sensor to a range index, or -1 for idle
+Assignment = tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Schedule:
-    """Activation plan: x[i][k][z] and per-round activity flags r[k]."""
+    """Activation plan: rounds[k] is round k's assignment, over n_ranges = Z ranges.
 
-    x: list[list[list[bool]]]
-    r: list[bool]
+    A round is active when some sensor in it is active.
+    """
 
-    @classmethod
-    def empty(cls, instance: BoundInstance) -> "Schedule":
-        return cls(
-            x=[[[False] * instance.n_ranges for _ in range(instance.k_max)]
-               for _ in range(instance.n_sensors)],
-            r=[False] * instance.k_max,
-        )
+    n_ranges: int
+    rounds: tuple[Assignment, ...]
+
+    def active_rounds(self) -> list[bool]:
+        return [any(z >= 0 for z in assignment) for assignment in self.rounds]
 
     def objective(self) -> int:
-        return sum(self.r)
+        return sum(self.active_rounds())
 
 
 def _sensor_cost(counts: tuple[int, ...], energies: tuple[float, ...]) -> float:
@@ -162,16 +164,6 @@ def _budget_table(instance: BoundInstance) -> _Memo:
     return _Memo(row)
 
 
-# an assignment maps each sensor to a range index, or -1 for idle
-Assignment = tuple[int, ...]
-# the same assignment as its (sensor, range) pairs of active sensors
-ActivePairs = tuple[tuple[int, int], ...]
-
-
-def _active_pairs(assignment: Assignment) -> ActivePairs:
-    return tuple((i, z) for i, z in enumerate(assignment) if z >= 0)
-
-
 def _coverage_masks(instance: BoundInstance) -> list[tuple[int, ...]]:
     """masks[i][z]: bit j set when sensor i at range z covers CH j.
 
@@ -211,45 +203,36 @@ def _assignment_cost(assignment: Assignment, instance: BoundInstance) -> float:
 
 def verify_schedule(instance: BoundInstance,
                     schedule: Schedule) -> tuple[bool, list[tuple]]:
-    """Check all four constraint families; violations carry their indices."""
-    n, z_count, k_count, m = (instance.n_sensors, instance.n_ranges,
-                              instance.k_max, instance.n_chs)
-    if (len(schedule.x) != n or len(schedule.r) != k_count
-            or any(len(per_round) != k_count for per_round in schedule.x)
-            or any(len(row) != z_count for per_round in schedule.x for row in per_round)):
+    """Check the budget (1a) and coverage (1c); violations carry their indices.
+
+    A schedule holds one range or none per sensor per round, so it cannot
+    break (1b). A range index outside -1..Z-1 is reported as ("1d", i, k),
+    and then nothing else is read.
+    """
+    n, z_count = instance.n_sensors, instance.n_ranges
+    if (schedule.n_ranges != z_count or len(schedule.rounds) != instance.k_max
+            or any(len(assignment) != n for assignment in schedule.rounds)):
         raise ValueError("schedule dimensions do not match instance")
 
-    violations: list[tuple] = []
-    for i in range(n):
-        for k in range(k_count):
-            for z in range(z_count):
-                if schedule.x[i][k][z] not in (False, True):
-                    violations.append(("1d", i, k, z))
-    for k in range(k_count):
-        if schedule.r[k] not in (False, True):
-            violations.append(("1d-r", k))
+    violations: list[tuple] = [("1d", i, k) for k, assignment in enumerate(schedule.rounds)
+                               for i, z in enumerate(assignment) if z not in range(-1, z_count)]
+    if violations:
+        return False, violations
 
     # 1a: per-sensor lifetime budget (counts form, same arithmetic as solvers)
     for i in range(n):
-        counts = tuple(sum(1 for k in range(k_count) if schedule.x[i][k][z])
+        counts = tuple(sum(1 for assignment in schedule.rounds if assignment[i] == z)
                        for z in range(z_count))
         if _sensor_cost(counts, instance.range_energies) > instance.budget:
             violations.append(("1a", i))
 
-    # 1b: at most one range per sensor per round, none in inactive rounds
-    for i in range(n):
-        for k in range(k_count):
-            if sum(schedule.x[i][k]) > (1 if schedule.r[k] else 0):
-                violations.append(("1b", i, k))
-
-    # 1c: every CH covered in every active round
-    for k in range(k_count):
-        if not schedule.r[k]:
+    # 1c: every CH covered in every active round, read from the coverage
+    # tensor rather than the solvers' masks, so the check is independent of them
+    for k, (assignment, active) in enumerate(zip(schedule.rounds, schedule.active_rounds())):
+        if not active:
             continue
-        for j in range(m):
-            covered = any(schedule.x[i][k][z] and instance.coverage[i][z][j]
-                          for i in range(n) for z in range(z_count))
-            if not covered:
+        for j in range(instance.n_chs):
+            if not any(z >= 0 and instance.coverage[i][z][j] for i, z in enumerate(assignment)):
                 violations.append(("1c", k, j))
 
     return (not violations, violations)
@@ -309,7 +292,8 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
     masks = _coverage_masks(instance)
     minimal = [a for a in _covering_assignments(instance, masks) if _is_minimal(a, masks)]
     minimal.sort(key=lambda a: (_assignment_cost(a, instance), a))
-    minimal_pairs = [_active_pairs(a) for a in minimal]
+    # each cover's active (sensor, range) pairs, the only budget states a round moves
+    minimal_pairs = [tuple((i, z) for i, z in enumerate(a) if z >= 0) for a in minimal]
     table = _budget_table(instance)
     k_cap = instance.k_max
 
@@ -345,8 +329,8 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
         return bound
 
     best = 0
-    best_path: list[ActivePairs] = []
-    path: list[ActivePairs] = []
+    best_path: list[Assignment] = []
+    path: list[Assignment] = []
 
     def dfs(state: tuple[int, ...], start: int) -> None:
         nonlocal best, best_path
@@ -357,14 +341,13 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
         if depth >= k_cap or depth + upper_bound(state) <= best:
             return
         for idx in range(start, len(minimal_pairs)):
-            pairs = minimal_pairs[idx]
             next_state = list(state)
-            for i, z in pairs:
+            for i, z in minimal_pairs[idx]:
                 next_state[i] = table[state[i]][z]
                 if next_state[i] is None:
                     break
             else:
-                path.append(pairs)
+                path.append(minimal[idx])
                 dfs(tuple(next_state), idx)
                 path.pop()
                 if best >= k_cap:
@@ -372,11 +355,8 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
 
     dfs((0,) * instance.n_sensors, 0)
 
-    schedule = Schedule.empty(instance)
-    for k, pairs in enumerate(best_path):
-        schedule.r[k] = True
-        for i, z in pairs:
-            schedule.x[i][k][z] = True
+    idle = (-1,) * instance.n_sensors
+    schedule = Schedule(instance.n_ranges, tuple(best_path) + (idle,) * (k_cap - best))
     ok, violations = verify_schedule(instance, schedule)
     if not ok:
         raise AssertionError(f"solver produced an infeasible witness: {violations}")
@@ -474,9 +454,9 @@ def _line_values(lines: list[str], line_no: int, parse, count: int, what: str) -
 
 
 def schedule_to_text(schedule: Schedule) -> str:
-    """Serialize a schedule: the r row, then per-sensor blocks of K range rows."""
-    lines = [" ".join("1" if flag else "0" for flag in schedule.r)]
-    for per_round in schedule.x:
-        for row in per_round:
-            lines.append(" ".join("1" if v else "0" for v in row))
+    """Serialize a schedule: the K active-round flags, then per sensor K rows of Z range flags."""
+    lines = [" ".join("1" if active else "0" for active in schedule.active_rounds())]
+    for per_sensor in zip(*schedule.rounds):
+        for z in per_sensor:
+            lines.append(" ".join("1" if z == zz else "0" for zz in range(schedule.n_ranges)))
     return "\n".join(lines) + "\n"

@@ -42,34 +42,61 @@ def single_sensor_instance(e=0.5, budget=2.0, k_max=16):
                          coverage=full_coverage(1, 1, 1))
 
 
-def brute_force_bitmask(instance):
-    """Plain enumeration over every boolean x tensor; tiny instances only.
+def padded(instance, *rounds):
+    """A schedule of the given rounds' assignments, then idle rounds up to K."""
+    idle = ((-1,) * instance.n_sensors,)
+    return Schedule(instance.n_ranges, tuple(rounds) + idle * (instance.k_max - len(rounds)))
 
-    The r flags are implied: a round must be active when any sensor is on,
-    and an active round must satisfy per-round constraints.
-    """
+
+def brute_force_rounds(instance):
+    """Plain enumeration over every list of K per-round assignments; tiny instances only."""
     n, z, k = instance.n_sensors, instance.n_ranges, instance.k_max
-    bits = n * k * z
-    assert bits <= 14, "bitmask oracle limited to micro instances"
+    assert (z + 1) ** (n * k) <= 729, "enumeration oracle limited to micro instances"
     best = 0
-    for mask in range(2 ** bits):
-        x = [[[bool(mask >> (i * k * z + kk * z + zz) & 1)
-               for zz in range(z)] for kk in range(k)] for i in range(n)]
-        # derive r: active iff any activation in the round
-        r = [any(x[i][kk][zz] for i in range(n) for zz in range(z))
-             for kk in range(k)]
-        schedule = Schedule(x=x, r=r)
-        ok, _ = verify_schedule(instance, schedule)
-        if ok:
-            best = max(best, sum(r))
+    for rounds in itertools.product(itertools.product(range(-1, z), repeat=n), repeat=k):
+        schedule = Schedule(z, rounds)
+        if verify_schedule(instance, schedule)[0]:
+            best = max(best, schedule.objective())
     return best
+
+
+def reference_verify(instance, x, r):
+    """The dense verifier of x[i][k][z] range flags and r[k] active-round flags
+    that the per-round assignment form replaced, kept as a reference."""
+    n, z_count, k_count, m = (instance.n_sensors, instance.n_ranges,
+                              instance.k_max, instance.n_chs)
+    violations = []
+    for i in range(n):
+        for k in range(k_count):
+            for z in range(z_count):
+                if x[i][k][z] not in (False, True):
+                    violations.append(("1d", i, k, z))
+    for k in range(k_count):
+        if r[k] not in (False, True):
+            violations.append(("1d-r", k))
+    for i in range(n):
+        counts = tuple(sum(1 for k in range(k_count) if x[i][k][z]) for z in range(z_count))
+        if sum(c * e for c, e in zip(counts, instance.range_energies)) > instance.budget:
+            violations.append(("1a", i))
+    for i in range(n):
+        for k in range(k_count):
+            if sum(x[i][k]) > (1 if r[k] else 0):
+                violations.append(("1b", i, k))
+    for k in range(k_count):
+        if not r[k]:
+            continue
+        for j in range(m):
+            if not any(x[i][k][z] and instance.coverage[i][z][j]
+                       for i in range(n) for z in range(z_count)):
+                violations.append(("1c", k, j))
+    return (not violations, violations)
 
 
 # --- verify_schedule ------------------------------------------------------
 
 def test_all_zero_schedule_is_feasible():
     instance = single_sensor_instance()
-    schedule = Schedule.empty(instance)
+    schedule = padded(instance)
     ok, violations = verify_schedule(instance, schedule)
     assert ok and violations == []
     assert schedule.objective() == 0
@@ -77,51 +104,73 @@ def test_all_zero_schedule_is_feasible():
 
 def test_budget_violation_is_reported():
     instance = single_sensor_instance(e=0.5, budget=2.0, k_max=16)
-    schedule = Schedule.empty(instance)
-    for k in range(5):  # 5 * 0.5 = 2.5 > 2.0
-        schedule.r[k] = True
-        schedule.x[0][k][0] = True
-    ok, violations = verify_schedule(instance, schedule)
+    # 5 * 0.5 = 2.5 > 2.0
+    ok, violations = verify_schedule(instance, padded(instance, *[(0,)] * 5))
     assert not ok
     assert ("1a", 0) in violations
 
 
 def test_uncovered_active_round_is_reported():
-    instance = BoundInstance(n_sensors=1, n_chs=1, n_ranges=1, k_max=2,
+    # sensor 0's one range covers no CH, so round 0, with only sensor 0 on, is uncovered
+    instance = BoundInstance(n_sensors=2, n_chs=1, n_ranges=1, k_max=2,
                              range_energies=(0.5,), budget=2.0,
-                             coverage=full_coverage(1, 1, 1))
-    schedule = Schedule.empty(instance)
-    schedule.r[0] = True  # active round with nothing transmitting
-    ok, violations = verify_schedule(instance, schedule)
+                             coverage=(((False,),), ((True,),)))
+    ok, violations = verify_schedule(instance, padded(instance, (0, -1), (-1, 0)))
     assert not ok
-    assert ("1c", 0, 0) in violations
-
-
-def test_activation_in_inactive_round_is_reported():
-    instance = single_sensor_instance(k_max=2)
-    schedule = Schedule.empty(instance)
-    schedule.x[0][0][0] = True  # r[0] stays False
-    ok, violations = verify_schedule(instance, schedule)
-    assert not ok
-    assert ("1b", 0, 0) in violations
+    assert violations == [("1c", 0, 0)]
 
 
 def test_dimension_mismatch_raises():
     instance = single_sensor_instance(k_max=4)
-    bad = Schedule(x=[[[False]] * 3], r=[False] * 4)
-    with pytest.raises(ValueError):
-        verify_schedule(instance, bad)
+    for bad in (Schedule(1, ((-1,),) * 3), Schedule(2, ((-1,),) * 4),
+                Schedule(1, ((-1, -1),) * 4)):
+        with pytest.raises(ValueError, match="dimensions"):
+            verify_schedule(instance, bad)
 
 
-def test_non_boolean_flags_are_reported():
-    instance = single_sensor_instance(k_max=2)
-    schedule = Schedule.empty(instance)
-    schedule.x[0][1][0] = 2
-    schedule.r[1] = 0.5
-    ok, violations = verify_schedule(instance, schedule)
+def test_out_of_range_ranges_are_reported():
+    # with Z = 1, range 1 does not exist and -2 is not idle; neither may
+    # reach the coverage tensor, where -2 would read range Z - 2
+    instance = BoundInstance(n_sensors=2, n_chs=1, n_ranges=1, k_max=2,
+                             range_energies=(0.5,), budget=2.0,
+                             coverage=full_coverage(2, 1, 1))
+    ok, violations = verify_schedule(instance, Schedule(1, ((1, 0), (0, -2))))
     assert not ok
-    assert ("1d", 0, 1, 0) in violations
-    assert ("1d-r", 1) in violations
+    assert violations == [("1d", 0, 0), ("1d", 1, 1)]
+
+
+@st.composite
+def instances_with_rounds(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=3))
+    z = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=6))
+    instance = BoundInstance(
+        n_sensors=n, n_chs=m, n_ranges=z, k_max=k,
+        range_energies=tuple(draw(st.lists(st.floats(min_value=0.2, max_value=1.5),
+                                           min_size=z, max_size=z))),
+        budget=draw(st.floats(min_value=0.5, max_value=3.0)),
+        coverage=tuple(tuple(tuple(draw(st.booleans()) for _ in range(m)) for _ in range(z))
+                       for _ in range(n)))
+    rounds = tuple(tuple(draw(st.integers(min_value=-1, max_value=z - 1)) for _ in range(n))
+                   for _ in range(k))
+    return instance, rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_rounds())
+def test_verify_matches_the_dense_reference(case):
+    # random rounds break the budget or leave a CH uncovered as often as not
+    instance, rounds = case
+    x = [[[a[i] == z for z in range(instance.n_ranges)] for a in rounds]
+         for i in range(instance.n_sensors)]
+    r = [any(z >= 0 for z in a) for a in rounds]
+    ok, violations = verify_schedule(instance, Schedule(instance.n_ranges, rounds))
+    ref_ok, ref_violations = reference_verify(instance, x, r)
+    assert ok == ref_ok
+    for family in ("1a", "1c"):
+        assert ([v for v in violations if v[0] == family]
+                == [v for v in ref_violations if v[0] == family])
 
 
 # --- solvers --------------------------------------------------------------
@@ -145,10 +194,7 @@ def test_budget_boundary_follows_the_counts_form(budget, k_star):
 def test_verify_rejects_the_activation_past_the_float_boundary():
     instance = single_sensor_instance(e=0.1, budget=0.6)
     for active in (5, 6):
-        schedule = Schedule.empty(instance)
-        for k in range(active):
-            schedule.r[k] = True
-            schedule.x[0][k][0] = True
+        schedule = padded(instance, *[(0,)] * active)
         assert verify_schedule(instance, schedule)[0] == (active == 5)
 
 
@@ -171,14 +217,14 @@ def test_uncoverable_ch_means_zero_rounds():
     assert schedule.objective() == 0
 
 
-def test_exhaustive_matches_bitmask_on_micro_instances():
+def test_exhaustive_matches_brute_force_on_micro_instances():
     rng = random.Random(202)
     checked = 0
     while checked < 12:
         instance = random_instance(rng, n_max=2, m_max=2, z_max=2, k_max=3)
         if instance.n_sensors * instance.n_ranges * instance.k_max > 12:
             continue
-        assert solve_exhaustive(instance) == brute_force_bitmask(instance)
+        assert solve_exhaustive(instance) == brute_force_rounds(instance)
         checked += 1
 
 
