@@ -41,11 +41,11 @@ class ScriptedRng:
         self.random = iter(draws).__next__
 
 
-def random_instance(rng, n_max=4, m_max=2, z_max=2, k_max=10, n_min=1):
+def random_instance(rng, n_max=4, m_max=2, z_max=2, k_max=10, n_min=1, m_min=1, z_min=1):
     """A random bound instance; its draws from `rng` depend only on the bounds given."""
     n = rng.randint(n_min, n_max)
-    m = rng.randint(1, m_max)
-    z = rng.randint(1, z_max)
+    m = rng.randint(m_min, m_max)
+    z = rng.randint(z_min, z_max)
     k = rng.randint(1, k_max)
     energies = tuple(round(rng.uniform(0.2, 1.5), 3) for _ in range(z))
     budget = round(rng.uniform(0.5, 3.0), 3)

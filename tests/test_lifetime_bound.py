@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -140,20 +141,25 @@ def test_out_of_range_ranges_are_reported():
 
 
 @st.composite
-def instances_with_rounds(draw):
+def bound_instances(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=3))
     z = draw(st.integers(min_value=1, max_value=3))
-    k = draw(st.integers(min_value=1, max_value=6))
-    instance = BoundInstance(
-        n_sensors=n, n_chs=m, n_ranges=z, k_max=k,
+    return BoundInstance(
+        n_sensors=n, n_chs=m, n_ranges=z, k_max=draw(st.integers(min_value=1, max_value=6)),
         range_energies=tuple(draw(st.lists(st.floats(min_value=0.2, max_value=1.5),
                                            min_size=z, max_size=z))),
         budget=draw(st.floats(min_value=0.5, max_value=3.0)),
         coverage=tuple(tuple(tuple(draw(st.booleans()) for _ in range(m)) for _ in range(z))
                        for _ in range(n)))
-    rounds = tuple(tuple(draw(st.integers(min_value=-1, max_value=z - 1)) for _ in range(n))
-                   for _ in range(k))
+
+
+@st.composite
+def instances_with_rounds(draw):
+    instance = draw(bound_instances())
+    rounds = tuple(tuple(draw(st.integers(min_value=-1, max_value=instance.n_ranges - 1))
+                         for _ in range(instance.n_sensors))
+                   for _ in range(instance.k_max))
     return instance, rounds
 
 
@@ -255,6 +261,61 @@ def test_witness_schedules_are_pinned():
     assert digest.hexdigest() == WITNESS_GOLDEN
 
 
+def guard_shape_instance(rng):
+    """A random instance at the solvers' guard in N, M and Z, with K <= 8."""
+    return random_instance(rng, n_min=8, n_max=8, m_min=4, m_max=4, z_min=3, z_max=3,
+                           k_max=8)
+
+
+# SHA-256 over K* and the witness schedule of 8 instances at the guard's shape
+# (seed 2026), two of them with K* < K. WITNESS_GOLDEN stops at N = 6 and Z = 2.
+GUARD_WITNESS_GOLDEN = "27587ea717f0677e4be88ac7914cfd04c520e3fb572e35304567334e0d84506b"
+
+
+def test_guard_shape_witnesses_are_pinned():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for _ in range(8):
+        k_star, schedule = solve_exact(guard_shape_instance(rng))
+        digest.update(f"{k_star}\n".encode())
+        digest.update(schedule_to_text(schedule).encode())
+    assert digest.hexdigest() == GUARD_WITNESS_GOLDEN
+
+
+# Exact relations: binary floating point scales by a power of two without
+# rounding, and neither solver may depend on how the CHs or sensors are
+# numbered, beyond the sensor order solve_exact's witness follows.
+
+@settings(max_examples=100, deadline=None)
+@given(bound_instances(), st.integers(min_value=-8, max_value=8))
+def test_power_of_two_energy_scaling_keeps_k_star_and_witness(instance, k):
+    scaled = dataclasses.replace(
+        instance, range_energies=tuple(e * 2.0 ** k for e in instance.range_energies),
+        budget=instance.budget * 2.0 ** k)
+    assert solve_exact(scaled) == solve_exact(instance)
+    assert solve_exhaustive(scaled) == solve_exhaustive(instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_instances(), st.data())
+def test_permuting_the_chs_keeps_k_star_and_witness(instance, data):
+    order = data.draw(st.permutations(range(instance.n_chs)))
+    permuted = dataclasses.replace(instance, coverage=tuple(
+        tuple(tuple(row[j] for j in order) for row in rows) for rows in instance.coverage))
+    assert solve_exact(permuted) == solve_exact(instance)
+    assert solve_exhaustive(permuted) == solve_exhaustive(instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_instances(), st.data())
+def test_permuting_the_sensors_keeps_k_star(instance, data):
+    order = data.draw(st.permutations(range(instance.n_sensors)))
+    permuted = dataclasses.replace(instance,
+                                   coverage=tuple(instance.coverage[i] for i in order))
+    assert solve_exact(permuted)[0] == solve_exact(instance)[0]
+    assert solve_exhaustive(permuted) == solve_exhaustive(instance)
+
+
 @st.composite
 def single_target_instances(draw):
     n = draw(st.integers(min_value=1, max_value=4))
@@ -316,6 +377,7 @@ def test_bitmask_covers_match_the_plain_definition(instance):
     assert covering == [a for a in every if reference_is_covering(a, instance)]
     assert ([a for a in covering if _is_minimal(a, masks)]
             == [a for a in covering if reference_is_minimal(a, instance)])
+
 
 
 @pytest.mark.parametrize("n", [4, 6])
