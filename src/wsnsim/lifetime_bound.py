@@ -8,7 +8,8 @@ network lifetime from above.
 
 Two independent solution paths are kept deliberately separate:
 `solve_exact` is a branch-and-bound over minimal covering assignments,
-while `solve_exhaustive` enumerates every affordable covering assignment
+which it builds directly with at most M active sensors each, while
+`solve_exhaustive` enumerates every affordable covering assignment
 round by round (memoized on remaining budgets) and serves as the oracle
 the branch-and-bound is tested against. Each solve builds one coverage
 encoding and one budget table, and both searches read them. Coverage is a
@@ -19,7 +20,9 @@ more activation at that range, or to "unaffordable". States stop at k_max
 activations, since a sensor is active at most once per round. Both solvers
 fill the table through the same affordability helper, so their
 floating-point budget arithmetic agrees bit for bit, and the masks and the
-table die with the solve.
+table die with the solve. Known gap: inside the guards, a K* below k_max can
+take `solve_exact` minutes, as its per-CH capacity bound prunes too little;
+an LP ceiling over covers is the fix.
 """
 
 from __future__ import annotations
@@ -197,6 +200,29 @@ def _is_minimal(assignment: Assignment, masks: list[tuple[int, ...]]) -> bool:
     return True
 
 
+def _minimal_covers(instance: BoundInstance, masks: list[tuple[int, ...]]) -> list[Assignment]:
+    """Every minimal covering assignment, from at most M (sensor, range) picks.
+
+    Picks go in sensor order, each covering a new CH; that reaches every minimal
+    cover, whose sensors each cover a CH alone. `_is_minimal` drops the rest.
+    """
+    full = (1 << instance.n_chs) - 1
+    covers: list[Assignment] = []
+
+    def extend(assignment: Assignment, first: int, covered: int) -> None:
+        if covered == full:
+            if _is_minimal(assignment, masks):
+                covers.append(assignment)
+            return
+        for i in range(first, instance.n_sensors):
+            for z, mask in enumerate(masks[i][:-1]):
+                if mask & ~covered:
+                    extend(assignment[:i] + (z,) + assignment[i + 1:], i + 1, covered | mask)
+
+    extend((-1,) * instance.n_sensors, 0, 0)
+    return covers
+
+
 def _assignment_cost(assignment: Assignment, instance: BoundInstance) -> float:
     return sum(instance.range_energies[z] for z in assignment if z >= 0)
 
@@ -289,8 +315,7 @@ def solve_exact(instance: BoundInstance) -> tuple[int, Schedule]:
     The witness always passes `verify_schedule`.
     """
     instance.check_solver_guards()
-    masks = _coverage_masks(instance)
-    minimal = [a for a in _covering_assignments(instance, masks) if _is_minimal(a, masks)]
+    minimal = _minimal_covers(instance, _coverage_masks(instance))
     minimal.sort(key=lambda a: (_assignment_cost(a, instance), a))
     # each cover's active (sensor, range) pairs, the only budget states a round moves
     minimal_pairs = [tuple((i, z) for i, z in enumerate(a) if z >= 0) for a in minimal]

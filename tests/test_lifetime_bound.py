@@ -16,6 +16,7 @@ from wsnsim.lifetime_bound import (
     _coverage_masks,
     _covering_assignments,
     _is_minimal,
+    _minimal_covers,
     bound_for_simulated_network,
     instance_from_text,
     instance_to_text,
@@ -375,9 +376,46 @@ def test_bitmask_covers_match_the_plain_definition(instance):
     covering = _covering_assignments(instance, masks)
     every = itertools.product(range(-1, instance.n_ranges), repeat=instance.n_sensors)
     assert covering == [a for a in every if reference_is_covering(a, instance)]
-    assert ([a for a in covering if _is_minimal(a, masks)]
-            == [a for a in covering if reference_is_minimal(a, instance)])
+    minimal = [a for a in covering if _is_minimal(a, masks)]
+    assert minimal == [a for a in covering if reference_is_minimal(a, instance)]
+    # solve_exact's covers, built pick by pick, are the filtered product's
+    assert sorted(_minimal_covers(instance, masks)) == minimal
 
+
+def test_minimal_covers_match_the_filtered_product_at_the_guard():
+    rng = random.Random(31)
+    for _ in range(4):
+        instance = guard_shape_instance(rng)
+        masks = _coverage_masks(instance)
+        assert sorted(_minimal_covers(instance, masks)) == [
+            a for a in _covering_assignments(instance, masks) if _is_minimal(a, masks)]
+
+
+def minimal_covers_of(coverage):
+    n, z, m = len(coverage), len(coverage[0]), len(coverage[0][0])
+    instance = BoundInstance(n_sensors=n, n_chs=m, n_ranges=z, k_max=4,
+                             range_energies=(1.0,) * z, budget=2.0, coverage=coverage)
+    return _minimal_covers(instance, _coverage_masks(instance))
+
+
+def test_an_uncoverable_ch_leaves_no_minimal_cover():
+    # CH 1 is covered by no (sensor, range) pair, CH 0 by every one
+    assert minimal_covers_of(tuple(((True, False),) * 3 for _ in range(4))) == []
+
+
+def test_one_ch_gives_single_picks_only():
+    rng = random.Random(4)
+    coverage = tuple(tuple((rng.random() < 0.5,) for _ in range(3)) for _ in range(6))
+    assert sorted(minimal_covers_of(coverage)) == sorted(
+        tuple(z if k == i else -1 for k in range(6))
+        for i in range(6) for z in range(3) if coverage[i][z][0])
+
+
+@pytest.mark.parametrize("n,z,m", [(1, 1, 1), (3, 2, 1), (8, 3, 4)])
+def test_picks_that_each_cover_every_ch_give_n_times_z_covers(n, z, m):
+    covers = minimal_covers_of(full_coverage(n, z, m))
+    assert len(covers) == n * z
+    assert all(sum(zz >= 0 for zz in a) == 1 for a in covers)
 
 
 @pytest.mark.parametrize("n", [4, 6])
