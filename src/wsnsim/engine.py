@@ -20,7 +20,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .energy_model import aggregation_energy, rx_energy, tx_energy
+from .energy_model import aggregation_energy, rx_energy
 from .network import Network, NetworkConfig, deploy
 from .protocols import (
     Protocol,
@@ -130,7 +130,7 @@ class SimulationState:
                 hops = next_hop[sending]
                 relayed = hops[hops >= 0]
             else:
-                hop_dist, relayed = net.dist_to_bs[ch_ids], ()
+                hops, hop_dist, relayed = np.full(len(ch_ids), -1)[sending], net.dist_to_bs[ch_ids], ()
 
             # a CH hears its members' reports, pays for aggregation, hears
             # the packets it relays, then sends
@@ -140,7 +140,8 @@ class SimulationState:
             if len(relayed):
                 np.subtract.at(residual, relayed, elec)
             senders = np.concatenate((clusters.members, ch_ids[sending]))
-            distances = np.concatenate((clusters.distances, hop_dist[sending]))
+            cost = net.transmit_costs(senders, np.concatenate((clusters.heads, hops)),
+                                      np.concatenate((clusters.distances, hop_dist[sending])))
             packets_to_ch = len(clusters.members)
             packets_to_bs = len(senders) - packets_to_ch - len(relayed)
             debits = [elec * (packets_to_ch + len(relayed)), math.fsum(aggregation.tolist())]
@@ -148,11 +149,10 @@ class SimulationState:
             # no CH elected this round: everyone with data reports straight
             # to the base station
             senders = reporting.nonzero()[0]
-            distances = net.dist_to_bs[senders]
+            cost = net.uplink_cost[senders]
             packets_to_ch = 0
             packets_to_bs = len(senders)
             debits = []
-        cost = tx_energy(radio, bits, distances)
         residual[senders] -= cost
         debits += cost.tolist()
 

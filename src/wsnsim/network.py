@@ -3,11 +3,12 @@
 The deployment (positions, class, initial energy) and each run's node
 state (residual energy, liveness, CH eligibility, TEEN's last reported
 value) live in numpy arrays on the `Network`, indexed by node id. Node
-positions never change, so each node's distance to the base station is
-computed once at deployment. Node-to-node distances are computed on
-demand by the nearest-CH search, in blocks, so memory stays O(N) plus a
-block. Every distance goes through `euclidean`, and every uniform draw,
-here and in the protocols, through `uniform_draws`.
+positions never change, so each node's distance to the base station, and a
+packet's cost over it, are computed once at deployment; up to `_TABLE_MAX_PAIRS`
+pairs (N <= 256), so are N x N tables of node-to-node distances and costs (at
+most about 1 MiB), which change no bit of any result. Past that, the nearest-CH
+search computes distances per round, in blocks. Every distance goes through
+`euclidean`, and every uniform draw, here and in the protocols, through `uniform_draws`.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def euclidean(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 # routes cost the same at about 208 draws (timeit, CPython 3.11, 2-vCPU host)
 _BULK_DRAWS = 208
 
+# networks of up to this many node pairs (N <= 256) keep N x N link tables, about 1 MiB at most
+_TABLE_MAX_PAIRS = 1 << 16
+
 
 def uniform_draws(rng: random.Random, n: int) -> np.ndarray:
     """The n values that n `rng.random()` calls give, in order, as float64,
@@ -152,10 +156,11 @@ def uniform_draws(rng: random.Random, n: int) -> np.ndarray:
 class Network:
     """Deployed node population plus one run's node state, as arrays by id.
 
-    `x`, `y`, `advanced`, `initial_energy` and `dist_to_bs` are fixed and
-    read-only; `residual`, `alive`, `eligible` (for CH duty) and
-    `teen_last_sent` (NaN until a node's first TEEN report) change as a run
-    proceeds.
+    `x`, `y`, `advanced`, `initial_energy`, `dist_to_bs`, `uplink_cost` (a packet's
+    `tx_energy` to the BS) and, up to `_TABLE_MAX_PAIRS` pairs, the N x N tables
+    `pair_dist` and `pair_cost` (else None) are fixed and read-only, each entry with
+    the bits a round would compute. `residual`, `alive`, `eligible` (for CH duty) and
+    `teen_last_sent` (NaN until a node's first TEEN report) change as a run proceeds.
     """
 
     def __init__(self, config: NetworkConfig, x, y, advanced, initial_energy):
@@ -166,11 +171,21 @@ class Network:
             values = np.array(values, dtype=bool if name == "advanced" else float)
             if values.shape != (n,):
                 raise ValueError(f"{name} has shape {values.shape}, but node_count is {n}")
-            values.flags.writeable = False
             setattr(self, name, values)
         bs_x, bs_y = config.bs_position
+        radio, bits = config.radio, config.packet_bits
         self.dist_to_bs = euclidean(self.x - bs_x, self.y - bs_y)
-        self.dist_to_bs.flags.writeable = False
+        self.uplink_cost = tx_energy(radio, bits, self.dist_to_bs)
+        self.pair_dist = self.pair_cost = self._link_cost = None
+        if n * n <= _TABLE_MAX_PAIRS:
+            self.pair_dist = euclidean(self.x[:, None] - self.x, self.y[:, None] - self.y)
+            # receiver -1, the BS, indexes the column past the nodes
+            self._link_cost = np.column_stack((tx_energy(radio, bits, self.pair_dist), self.uplink_cost))
+            self.pair_cost = self._link_cost[:, :n]
+        for values in (self.x, self.y, self.advanced, self.initial_energy, self.dist_to_bs,
+                       self.uplink_cost, self.pair_dist, self._link_cost, self.pair_cost):
+            if values is not None:
+                values.flags.writeable = False
         self.residual = self.initial_energy.copy()
         self.alive = np.ones(n, dtype=bool)
         self.eligible = np.ones(n, dtype=bool)
@@ -186,6 +201,13 @@ class Network:
         """(id, x, y, class, initial energy) per node, as Python values."""
         return zip(range(len(self.x)), self.x.tolist(), self.y.tolist(),
                    np.where(self.advanced, ADVANCED, NORMAL).tolist(), self.initial_energy.tolist())
+
+    def transmit_costs(self, senders: np.ndarray, receivers, distances: np.ndarray) -> np.ndarray:
+        """One packet's `tx_energy` from each of `senders` to its receiver (-1: the
+        BS), `distances` away; read from the tables where the network has them."""
+        if self._link_cost is None:
+            return tx_energy(self.config.radio, self.config.packet_bits, distances)
+        return self._link_cost[senders, receivers]
 
     def total_residual_energy(self) -> float:
         return math.fsum(self.residual.tolist())
@@ -283,15 +305,18 @@ def split_entry(entry: str, where: str, shown: Optional[str] = None) -> tuple[st
 
 
 def load_config(path: str, base: Optional[NetworkConfig] = None) -> NetworkConfig:
-    """Read a flat `key = value` config file (# starts a comment)."""
-    items: dict[str, str] = {}
+    """Read a flat `key = value` config file (# starts a comment); a key may appear once."""
+    items: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             entry = line.split("#", 1)[0].strip()
             if entry:
                 key, raw = split_entry(entry, f"{path}:{line_no}", line.rstrip())
-                items[key] = raw
-    return config_from_items(items, base=base)
+                if key in items:
+                    raise ValueError(f"{path}:{line_no}: {key} given more than once "
+                                     f"(first on line {items[key][0]})")
+                items[key] = line_no, raw
+    return config_from_items({key: raw for key, (_, raw) in items.items()}, base=base)
 
 
 def config_as_items(config: NetworkConfig) -> dict[str, str]:

@@ -71,7 +71,7 @@ class ElectionOutcome:
 def _check_probability(p) -> None:
     p = np.asarray(p)
     valid = (p > 0) & (p <= 1)
-    if not valid.all():
+    if np.count_nonzero(valid) != valid.size:
         raise ValueError(f"probability must lie in (0, 1], got {float(p[~valid].flat[0])!r}")
 
 
@@ -219,18 +219,22 @@ _GRID_BLOCK_ENTRIES = 8192
 def _nearest_ch(network: Network, rows: np.ndarray, chs: np.ndarray,
                 closer_to_bs: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """For each node in `rows`, the index into `chs` (ascending ids) of its
-    nearest CH and the distance to it, each block searched by `_block_nearest`.
+    nearest CH and the distance to it, each block searched by `_pick_nearest`.
 
     With `closer_to_bs`, only CHs strictly closer to the BS than the row's
-    node count (none: index 0 at distance inf). From `_GRID_MIN_BLOCK` rows x
-    CHs on, a row searches the CHs in its 3x3 neighbourhood of grid cells, and
-    every CH when its best is not nearer than the neighbourhood's edge (less a
-    relative 1e-9), so the grid never changes an answer's bits.
+    node count (none: index 0 at distance inf). Below `_GRID_MIN_BLOCK` rows x
+    CHs, one block holds every pair, from `pair_dist` where the network has it.
+    From there on, a row searches the CHs in its 3x3 neighbourhood of grid
+    cells, and every CH when its best is not nearer than the neighbourhood's
+    edge (less a relative 1e-9), so the grid never changes an answer's bits.
     """
-    cx, cy = network.x[chs], network.y[chs]
     cbs = network.dist_to_bs[chs] if closer_to_bs else None
     if len(rows) * len(chs) < _GRID_MIN_BLOCK:
-        return _block_nearest(network, rows, cx, cy, cbs)
+        if network.pair_dist is None:
+            return _block_nearest(network, rows, network.x[chs], network.y[chs], cbs)
+        # the table is symmetric to the bit: copying the CHs' rows first copies less
+        return _pick_nearest(network, rows, network.pair_dist.take(chs, 0).take(rows, 1).T, cbs)
+    cx, cy = network.x[chs], network.y[chs]
     table, qcell, margin = _grid_candidates(np.stack((cx, cy)),
                                             np.stack((network.x[rows], network.y[rows])))
     # padding (index len(chs)) sits at infinity, so it is never nearest
@@ -256,12 +260,16 @@ def _row_blocks(count: int, width: int):
 
 
 def _block_nearest(network: Network, rows: np.ndarray, cx, cy, cbs) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest candidate, as its column and distance; ties go to
-    the first column (argmin's), the lowest id as columns ascend. `cx`, `cy`
-    and `cbs` (distances to the BS, or None) are 1-D, shared by every row, or
-    2-D, one row per row; with `cbs`, only candidates strictly closer to the
-    BS than the row's node count (none: column 0 at distance inf)."""
-    block = euclidean(network.x[rows][:, None] - cx, network.y[rows][:, None] - cy)
+    """`_pick_nearest` from each row to candidates at `cx`, `cy`; these and `cbs`
+    are 1-D, shared by every row, or 2-D, one row per row."""
+    return _pick_nearest(network, rows, euclidean(network.x[rows][:, None] - cx,
+                                                  network.y[rows][:, None] - cy), cbs)
+
+
+def _pick_nearest(network: Network, rows: np.ndarray, block: np.ndarray, cbs) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest candidate, as its column in `block` (the rows' distances to
+    the candidates; ties: the first column, the lowest id) and distance. With `cbs`,
+    only candidates strictly nearer the BS than the row's node count (none: column 0 at inf)."""
     if cbs is not None:
         block[~(cbs < network.dist_to_bs[rows][:, None])] = np.inf
     column = block.argmin(axis=1)
@@ -365,7 +373,7 @@ def teen_next_hop(network: Network, ch_ids: np.ndarray,
     to_bs = network.dist_to_bs[ch_ids]
     nearest, hop_dist = _nearest_ch(network, ch_ids, ch_ids, closer_to_bs=True)
     relays = np.isfinite(hop_dist)
-    if not sending.all():
+    if np.count_nonzero(sending) != sending.size:
         # farthest from the BS first, so a relay is marked before its turn
         marked = sending.tolist()
         relay_slot = np.where(relays, nearest, -1).tolist()

@@ -158,6 +158,22 @@ def test_config_line_without_equals_rejected_before_any_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "bound"])
+def test_config_key_given_twice_rejected_before_any_file(tmp_path, capsys, command):
+    path = tmp_path / "net.cfg"
+    path.write_text("p_opt = 0.1\nnode_count = 4\n\n  p_opt = 0.3  # again\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {path}:4: p_opt given more than once (first on line 1)\n"
+    assert not out.exists()
+
+
+def test_override_given_twice_keeps_the_last(tmp_path, capsys):
+    assert run_cli("run", "--override", "p_opt=0.1", "--override", "p_opt=0.3",
+                   "--show-config", "--out", str(tmp_path / "o")) == 0
+    assert "p_opt = 0.3\n" in capsys.readouterr().out
+
+
 def test_compare_outputs_and_shared_topology(tmp_path):
     out = tmp_path / "cmp"
     code = run_cli("compare", "--protocol", "leach,teen,sep,deec",

@@ -1,6 +1,10 @@
-"""Design checks over wsnsim's source, read with `ast` alone."""
+"""Design checks over wsnsim's source, read with `ast` alone, and over what
+importing its CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -130,3 +134,15 @@ def test_one_draw_path():
             readers |= {f"{module}.{scope}" for sub in ast.walk(node)
                         if isinstance(sub, ast.Attribute) and sub.attr == "random"}
     assert readers == {"network.uniform_draws"}
+
+
+def test_cli_import_loads_no_heavy_module():
+    # numpy.random or any of scipy would add megabytes to every run's peak
+    # resident memory, which the benchmark bounds at 10%
+    code = ("import sys, wsnsim.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SOURCE.parent), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

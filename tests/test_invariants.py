@@ -7,13 +7,13 @@ metrics are checked against what the trace's rows give.
 """
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnsim import engine
+from wsnsim import engine, network
 from wsnsim.energy_model import RadioParams
 from wsnsim.engine import SimulationState, run_simulation, summary_dict
 from wsnsim.metrics import run_metrics
@@ -90,6 +90,37 @@ def test_every_round_keeps_the_invariants(cfg, name, forwarding, seed):
     for ch_ids, relay in hops:
         forwarded = relay >= 0
         assert (net.dist_to_bs[relay[forwarded]] < net.dist_to_bs[ch_ids[forwarded]]).all()
+
+
+def round_by_round(cfg, protocol, seed):
+    """Whether the run priced from link tables, and each round's trace row,
+    debit and residuals, the floats as their bits."""
+    net = deploy(cfg, seed)
+    state = SimulationState(net, protocol, seed)
+    rounds = []
+    while len(rounds) < MAX_ROUNDS and net.alive.any():
+        m = state.run_round()
+        rounds.append((astuple(m), m.total_residual_energy.hex(), state.round_debits[-1].hex(),
+                       net.residual.view(np.int64).tolist()))
+    return net.pair_cost is not None, rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sampled_from(PROTOCOL_NAMES), st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+def test_link_tables_change_no_bit(cfg, name, forwarding, seed):
+    # every node count the strategy draws is under the table cutoff; a cutoff
+    # of 0 sends the same run through the per-round distances and tx_energy
+    protocol = Protocol(name, forwarding)
+    tabled, shipped = round_by_round(cfg, protocol, seed)
+    cutoff = network._TABLE_MAX_PAIRS
+    network._TABLE_MAX_PAIRS = 0
+    try:
+        untabled, formula = round_by_round(cfg, protocol, seed)
+    finally:
+        network._TABLE_MAX_PAIRS = cutoff
+    assert tabled and not untabled
+    assert shipped == formula
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 import wsnsim
-from wsnsim.energy_model import RadioParams
+from wsnsim import network
+from wsnsim.energy_model import RadioParams, crossover_distance, tx_energy
 from wsnsim.network import (
     _BULK_DRAWS,
     Network,
@@ -170,6 +171,44 @@ def test_precomputed_geometry_matches_distance():
         assert net.dist_to_bs[a] == pytest.approx(math.hypot(x[a] - bs_x, y[a] - bs_y), abs=1e-12)
 
 
+@pytest.mark.parametrize("node_count", [1, 2, 37, 256])
+def test_link_tables_hold_each_links_bits(node_count):
+    # the BS off the field puts uplinks past d0, and the field's diagonal node pairs
+    cfg = NetworkConfig(node_count=node_count, bs_position=(50.0, 175.0))
+    net = deploy(cfg, seed=3)
+    radio, bits = cfg.radio, cfg.packet_bits
+    assert net.pair_dist.shape == net.pair_cost.shape == (node_count, node_count)
+    for a in range(node_count):
+        row = euclidean(net.x[a] - net.x, net.y[a] - net.y)
+        assert net.pair_dist[a].view(np.int64).tolist() == row.view(np.int64).tolist()
+        assert (net.pair_cost[a].view(np.int64).tolist()
+                == tx_energy(radio, bits, row).view(np.int64).tolist())
+    # symmetric to the bit, so a block may be read either way round
+    assert net.pair_dist.view(np.int64).tolist() == net.pair_dist.T.view(np.int64).tolist()
+    assert (net.uplink_cost.view(np.int64).tolist()
+            == tx_energy(radio, bits, net.dist_to_bs).view(np.int64).tolist())
+    assert [tx_energy(radio, bits, d) for d in net.dist_to_bs.tolist()] == net.uplink_cost.tolist()
+    if node_count > 2:
+        d0 = crossover_distance(radio)
+        assert (net.pair_dist >= d0).any() and (net.pair_dist < d0).any()
+        assert (net.dist_to_bs >= d0).any() and (net.dist_to_bs < d0).any()
+
+
+def test_link_tables_are_read_only():
+    net = deploy(NetworkConfig(node_count=6), seed=2)
+    for name in ("pair_dist", "pair_cost", "uplink_cost"):
+        with pytest.raises(ValueError):
+            getattr(net, name)[0] = 1.0
+
+
+@pytest.mark.parametrize("node_count,tabled", [(256, True), (257, False), (400, False)])
+def test_link_tables_only_up_to_the_cutoff(node_count, tabled):
+    assert (node_count ** 2 <= network._TABLE_MAX_PAIRS) == tabled
+    net = deploy(NetworkConfig(node_count=node_count), seed=1)
+    assert (net.pair_dist is not None) == (net.pair_cost is not None) == tabled
+    assert net.uplink_cost.shape == (node_count,)
+
+
 def test_topology_csv_shape():
     net = deploy(NetworkConfig(node_count=5), seed=2)
     buf = io.StringIO()
@@ -286,6 +325,13 @@ def test_config_line_without_equals_names_file_and_line(tmp_path):
     path.write_text("node_count = 10\n  foo  # no value\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{path}:2: expected key = value, "
                                          rf"got '  foo  # no value'$"):
+        load_config(str(path))
+
+
+def test_config_key_given_twice_names_both_lines(tmp_path):
+    path = tmp_path / "net.cfg"
+    path.write_text("# p_opt = 0.2\np_opt = 0.1\nnode_count = 10\n p_opt=0.3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{path}:4: p_opt given more than once \(first on line 2\)$"):
         load_config(str(path))
 
 
