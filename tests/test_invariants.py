@@ -7,7 +7,7 @@ metrics are checked against what the trace's rows give.
 """
 
 import math
-from dataclasses import asdict, astuple, replace
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,34 +20,9 @@ from wsnsim.metrics import run_metrics
 from wsnsim.network import NetworkConfig, deploy
 from wsnsim.protocols import PROTOCOL_NAMES, Protocol
 
+from helpers import assert_same_rounds, configs, run_rounds
+
 MAX_ROUNDS = 150
-
-# each radio constant at 0.1-10x its default, so d0 = sqrt(e_fs / e_mp) moves too
-radios = st.builds(RadioParams, **{name: st.floats(min_value=0.1 * value, max_value=10.0 * value)
-                                   for name, value in asdict(RadioParams()).items()})
-
-
-@st.composite
-def configs(draw):
-    sense_min = draw(st.floats(min_value=-100.0, max_value=100.0))
-    hard = sense_min + draw(st.floats(min_value=1e-3, max_value=200.0))
-    return NetworkConfig(
-        field_width=draw(st.floats(min_value=5.0, max_value=400.0)),
-        field_height=draw(st.floats(min_value=5.0, max_value=400.0)),
-        node_count=draw(st.integers(min_value=1, max_value=40)),
-        bs_position=draw(st.tuples(st.floats(min_value=-200.0, max_value=600.0),
-                                   st.floats(min_value=-200.0, max_value=600.0))),
-        initial_energy=draw(st.floats(min_value=0.002, max_value=0.05)),
-        p_opt=draw(st.sampled_from([0.05, 0.1, 0.3, 1.0])),
-        adv_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
-        adv_energy_factor=draw(st.floats(min_value=0.0, max_value=3.0)),
-        packet_bits=draw(st.integers(min_value=1, max_value=8000)),
-        radio=draw(radios),
-        teen_sense_min=sense_min,
-        teen_hard_threshold=hard,
-        teen_sense_max=hard + draw(st.floats(min_value=1e-3, max_value=200.0)),
-        teen_soft_threshold=draw(st.floats(min_value=0.0, max_value=20.0)),
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,35 +67,22 @@ def test_every_round_keeps_the_invariants(cfg, name, forwarding, seed):
         assert (net.dist_to_bs[relay[forwarded]] < net.dist_to_bs[ch_ids[forwarded]]).all()
 
 
-def round_by_round(cfg, protocol, seed):
-    """Whether the run priced from link tables, and each round's trace row,
-    debit and residuals, the floats as their bits."""
-    net = deploy(cfg, seed)
-    state = SimulationState(net, protocol, seed)
-    rounds = []
-    while len(rounds) < MAX_ROUNDS and net.alive.any():
-        m = state.run_round()
-        rounds.append((astuple(m), m.total_residual_energy.hex(), state.round_debits[-1].hex(),
-                       net.residual.view(np.int64).tolist()))
-    return net.pair_cost is not None, rounds
-
-
 @settings(max_examples=60, deadline=None)
 @given(configs(), st.sampled_from(PROTOCOL_NAMES), st.booleans(),
        st.integers(min_value=0, max_value=10**6))
 def test_link_tables_change_no_bit(cfg, name, forwarding, seed):
     # every node count the strategy draws is under the table cutoff; a cutoff
     # of 0 sends the same run through the per-round distances and tx_energy
-    protocol = Protocol(name, forwarding)
-    tabled, shipped = round_by_round(cfg, protocol, seed)
+    cfg, protocol = replace(cfg, max_rounds=MAX_ROUNDS), Protocol(name, forwarding)
+    shipped, tabled, _ = run_rounds(cfg, protocol, seed)
     cutoff = network._TABLE_MAX_PAIRS
     network._TABLE_MAX_PAIRS = 0
     try:
-        untabled, formula = round_by_round(cfg, protocol, seed)
+        formula, untabled, _ = run_rounds(cfg, protocol, seed)
     finally:
         network._TABLE_MAX_PAIRS = cutoff
     assert tabled and not untabled
-    assert shipped == formula
+    assert_same_rounds(shipped, formula)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,21 +11,23 @@ outputs are known to the bit, whatever they are.
 Each runs on both sides of the link-table cutoff: at N = 100 rounds are
 priced from the network's tables, at N = 400 from a dense block of
 distances computed per round, and at N = 1600 cluster formation searches a
-grid. R1 and R2 change every table entry, so they also check the tables
-against the runs that price from them.
+grid; and over `helpers.configs`' small networks. R1 and R2 change every
+table entry, so they also check the tables against the runs that price
+from them.
 """
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 from functools import lru_cache
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wsnsim import protocols
 from wsnsim.energy_model import RadioParams
-from wsnsim.engine import SimulationState
-from wsnsim.network import NetworkConfig, deploy
+from wsnsim.network import NetworkConfig
 from wsnsim.protocols import PROTOCOL_NAMES, Protocol
+
+from helpers import assert_same_rounds, configs, run_rounds
 
 # batteries small enough that nodes die inside each size's round cap; at p_opt
 # = 0.2, TEEN's next hops at N = 1600 search the grid too
@@ -37,37 +39,15 @@ SIZES = {
                           bs_position=(200.0, 450.0), initial_energy=0.05, max_rounds=4),
 }
 SEED = 3
+DRAWN_ROUNDS = 150
 
 
 def run(cfg, name, seed=SEED):
-    """Each round's trace row, debit and residuals, whether the run priced from
-    link tables, and how many grid searches it made."""
-    net = deploy(cfg, seed)
-    state = SimulationState(net, Protocol(name), seed)
-    grid_searches = []
-    grid_candidates = protocols._grid_candidates
-
-    def counted(*args):
-        grid_searches.append(1)
-        return grid_candidates(*args)
-
-    protocols._grid_candidates = counted
-    try:
-        rounds = []
-        while len(rounds) < cfg.max_rounds and net.alive.any():
-            m = state.run_round()
-            rounds.append((astuple(m), state.round_debits[-1], net.residual.copy()))
-    finally:
-        protocols._grid_candidates = grid_candidates
-    return rounds, net.pair_cost is not None, len(grid_searches)
+    return run_rounds(cfg, Protocol(name), seed)
 
 
 # the untransformed runs, which several relations compare against
 base_run = lru_cache(maxsize=None)(run)
-
-
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -78,48 +58,58 @@ def test_each_size_takes_its_search(size):
     assert any(row[2] for row, _, _ in rounds), "no node died inside the round cap"
 
 
+def energies_scaled(cfg, k):
+    r, scale = cfg.radio, 2.0 ** k
+    return replace(cfg, initial_energy=cfg.initial_energy * scale,
+                   radio=RadioParams(r.e_elec * scale, r.e_fs * scale, r.e_mp * scale, r.e_da * scale))
+
+
+def field_doubled(cfg):
+    (bs_x, bs_y), r = cfg.bs_position, cfg.radio
+    return replace(cfg, field_width=2.0 * cfg.field_width, field_height=2.0 * cfg.field_height,
+                   bs_position=(2.0 * bs_x, 2.0 * bs_y),
+                   radio=replace(r, e_fs=r.e_fs / 4.0, e_mp=r.e_mp / 16.0))
+
+
 @pytest.mark.parametrize("k", [-8, 3, 8])
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 @pytest.mark.parametrize("size", SIZES)
 def test_r1_energies_times_a_power_of_two(size, name, k):
     cfg = SIZES[size]
-    scale = 2.0 ** k
-    r = cfg.radio
-    scaled = replace(cfg, initial_energy=cfg.initial_energy * scale,
-                     radio=RadioParams(r.e_elec * scale, r.e_fs * scale, r.e_mp * scale, r.e_da * scale))
-    base, _, _ = base_run(cfg, name)
-    other, _, _ = run(scaled, name)
-    assert len(base) == len(other)
-    for (row, debit, residual), (row_k, debit_k, residual_k) in zip(base, other):
-        assert row[:-1] == row_k[:-1]
-        assert bits([row[-1] * scale, debit * scale]) == bits([row_k[-1], debit_k])
-        assert bits(residual * scale) == bits(residual_k)
+    assert_same_rounds(base_run(cfg, name)[0], run(energies_scaled(cfg, k), name)[0], 2.0 ** k)
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 @pytest.mark.parametrize("size", SIZES)
 def test_r2_field_doubled_with_amplifiers_quartered_and_sixteenthed(size, name):
     cfg = SIZES[size]
-    (bs_x, bs_y), r = cfg.bs_position, cfg.radio
-    doubled = replace(cfg, field_width=2.0 * cfg.field_width, field_height=2.0 * cfg.field_height,
-                      bs_position=(2.0 * bs_x, 2.0 * bs_y),
-                      radio=replace(r, e_fs=r.e_fs / 4.0, e_mp=r.e_mp / 16.0))
-    base, _, _ = base_run(cfg, name)
-    other, _, _ = run(doubled, name)
-    assert len(base) == len(other)
-    for (row, debit, residual), (row_2, debit_2, residual_2) in zip(base, other):
-        assert row[:-1] == row_2[:-1]
-        assert bits([row[-1], debit]) == bits([row_2[-1], debit_2])
-        assert bits(residual) == bits(residual_2)
+    assert_same_rounds(base_run(cfg, name)[0], run(field_doubled(cfg), name)[0])
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_r3_sep_without_extra_energy_is_leach(size):
     cfg = replace(SIZES[size], adv_fraction=0.2, adv_energy_factor=0.0)
-    sep, _, _ = run(cfg, "sep")
-    leach, _, _ = run(cfg, "leach")
-    assert len(sep) == len(leach)
-    for (row, debit, residual), (row_l, debit_l, residual_l) in zip(sep, leach):
-        assert row[:-1] == row_l[:-1]
-        assert bits([row[-1], debit]) == bits([row_l[-1], debit_l])
-        assert bits(residual) == bits(residual_l)
+    assert_same_rounds(run(cfg, "leach")[0], run(cfg, "sep")[0])
+
+
+# the same relations over drawn small networks, radios and BS positions
+@settings(max_examples=30, deadline=None)
+@given(configs(), st.sampled_from(PROTOCOL_NAMES), st.integers(min_value=-8, max_value=8),
+       st.integers(min_value=0, max_value=10**6))
+def test_r1_over_drawn_configs(cfg, name, k, seed):
+    cfg = replace(cfg, max_rounds=DRAWN_ROUNDS)
+    assert_same_rounds(run(cfg, name, seed)[0], run(energies_scaled(cfg, k), name, seed)[0], 2.0 ** k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs(), st.sampled_from(PROTOCOL_NAMES), st.integers(min_value=0, max_value=10**6))
+def test_r2_over_drawn_configs(cfg, name, seed):
+    cfg = replace(cfg, max_rounds=DRAWN_ROUNDS)
+    assert_same_rounds(run(cfg, name, seed)[0], run(field_doubled(cfg), name, seed)[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(configs(), st.integers(min_value=0, max_value=10**6))
+def test_r3_over_drawn_configs(cfg, seed):
+    cfg = replace(cfg, adv_energy_factor=0.0, max_rounds=DRAWN_ROUNDS)
+    assert_same_rounds(run(cfg, "leach", seed)[0], run(cfg, "sep", seed)[0])
